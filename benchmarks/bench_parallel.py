@@ -1,24 +1,20 @@
-"""Simulated vs. multiprocess backend, per transport (BENCH_parallel.json).
+"""Simulated vs. multiprocess backend (BENCH_parallel.json).
 
 For each workload × worker count, runs the same program on the simulated
 backend (every worker sequential in one process) and on the process
-backend under **both frame transports** — shared-memory ring buffers
-(``shm``, the default) and OS pipes (``pipe``, the portable fallback) —
-then:
+backend (worker processes exchanging frames through shared-memory ring
+buffers; the ``shm_*`` field names say so), then:
 
 * **asserts the parity contract** — bit-identical result data, identical
   per-channel traffic breakdown, and identical superstep / byte /
-  message totals, for *each* transport; a speedup can never come from
-  doing different work — the script exits non-zero on any violation,
-  which the CI smoke relies on;
-* **reports the wall-clock ratios** — ``speedup_shm_vs_sim`` is the
-  process backend's whole point, ``speedup_shm_vs_pipe`` is what the
-  ring transport buys over the pipe hop.  Speedups are only meaningful
-  when the machine actually has cores to parallelize over, so the
-  artifact records ``cpus``; on a single-CPU box the process rows
-  measure protocol overhead, not parallelism, and ``speedup_valid`` is
-  false (``shm_vs_pipe`` still compares the two transports' overhead
-  honestly, it just can't show parallel wins);
+  message totals; a speedup can never come from doing different work —
+  the script exits non-zero on any violation, which the CI smoke relies
+  on;
+* **reports the wall-clock ratio** — ``speedup_shm_vs_sim`` is the
+  process backend's whole point.  Speedups are only meaningful when the
+  machine actually has cores to parallelize over, so the artifact
+  records ``cpus``; on a single-CPU box the process rows measure
+  protocol overhead, not parallelism, and ``speedup_valid`` is false;
 * **records per-phase timings** — every row carries each backend's
   critical-path seconds per phase (barrier / compute / serialize /
   exchange, from :meth:`MetricsCollector.phase_totals`), so a regression
@@ -57,7 +53,6 @@ WORKLOADS = {
     "wcc-bulk": lambda g, **kw: run_wcc(g, variant="basic", mode="bulk", **kw),
 }
 
-TRANSPORTS = ("pipe", "shm")
 PHASES = ("barrier", "compute", "serialize", "exchange")
 
 
@@ -127,12 +122,9 @@ def bench(
                 return runner(graph, num_workers=workers, partition=part, **kw), True
 
             sim, live_sim = cell()
-            proc_pairs = {
-                t: cell(executor="process", transport=t) for t in TRANSPORTS
-            }
-            proc = {t: pair[0] for t, pair in proc_pairs.items()}
-            live_ok = live_sim and all(ok for _, ok in proc_pairs.values())
-            walls = {t: proc[t][-1].metrics.wall_time for t in TRANSPORTS}
+            proc, live_proc = cell(executor="process")
+            live_ok = live_sim and live_proc
+            shm_wall = proc[-1].metrics.wall_time
             sim_wall = sim[-1].metrics.wall_time
             rows.append(
                 {
@@ -141,20 +133,13 @@ def bench(
                     "supersteps": sim[-1].metrics.supersteps,
                     "net_mb": round(sim[-1].metrics.total_net_bytes / 1e6, 3),
                     "sim_wall_s": round(sim_wall, 4),
-                    "pipe_wall_s": round(walls["pipe"], 4),
-                    "shm_wall_s": round(walls["shm"], 4),
-                    "speedup_shm_vs_sim": round(
-                        sim_wall / max(walls["shm"], 1e-9), 2
-                    ),
-                    "speedup_shm_vs_pipe": round(
-                        walls["pipe"] / max(walls["shm"], 1e-9), 2
-                    ),
-                    "parity_pipe": _identical(sim, proc["pipe"]),
-                    "parity_shm": _identical(sim, proc["shm"]),
+                    "shm_wall_s": round(shm_wall, 4),
+                    "speedup_shm_vs_sim": round(sim_wall / max(shm_wall, 1e-9), 2),
+                    "parity_shm": _identical(sim, proc),
                     **({"live_parity": live_ok} if live_check else {}),
                     "phases": {
                         "sim": _phase_row(sim[-1]),
-                        **{t: _phase_row(proc[t][-1]) for t in TRANSPORTS},
+                        "shm": _phase_row(proc[-1]),
                     },
                 }
             )
@@ -264,7 +249,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="attach a live-telemetry segment (repro.obs.live) to every "
         "cell and fail unless the per-worker slot counters sum exactly "
-        "to the collector totals on every backend and transport",
+        "to the collector totals on every backend",
     )
     parser.add_argument(
         "--amortize-epochs",
@@ -333,16 +318,10 @@ def main(argv=None) -> int:
         seed=args.seed,
         cpus=cpus,
         speedup_valid=cpus >= 2,
-        transports=list(TRANSPORTS),
         amortization=amortization,
     )
 
-    broken = [
-        f"{r['workload']}@{r['workers']}:{t}"
-        for r in rows
-        for t in TRANSPORTS
-        if not r[f"parity_{t}"]
-    ]
+    broken = [f"{r['workload']}@{r['workers']}" for r in rows if not r["parity_shm"]]
     broken += [
         f"amortization/{r['mode']}" for r in amortization if not r["identical"]
     ]

@@ -7,8 +7,8 @@ never regress.  The artifact kind — ``parallel``, ``bulk``,
 (or the filename), and each kind gates on its own field set:
 
 * **Parity is environment-independent and always enforced.**  Every
-  fresh row must report its parity flags true (``parity_shm`` /
-  ``parity_pipe`` for the parallel artifact, ``traffic_identical`` for
+  fresh row must report its parity flags true (``parity_shm`` for the
+  parallel artifact, ``traffic_identical`` for
   bulk, ``identical`` for recovery and streaming), and on the row
   intersection with the baseline the *work done* must be exactly the
   baseline's — supersteps, bytes, messages, byte ratios.  A CI smoke
@@ -21,10 +21,10 @@ never regress.  The artifact kind — ``parallel``, ``bulk``,
   comparing those against multi-core numbers would gate merges on
   noise.  (The bulk / recovery / streaming artifacts don't record the
   flag, so their walls are never ratio-gated.)
-* **The transport's reason to exist** (parallel artifact only).  When
-  the fresh artifact has ``speedup_valid: true``, at least one bulk
-  workload at 2 workers must show ``speedup_shm_vs_pipe >=
-  --min-shm-speedup`` (default 1.5).
+* **The process backend's reason to exist** (parallel artifact only).
+  When the fresh artifact has ``speedup_valid: true``, at least one
+  workload at 2 workers must run end to end at least as fast on worker
+  processes as on the simulator: ``speedup_shm_vs_sim >= 1.0``.
 * A fresh artifact flagged ``dirty_tree`` fails outright: its numbers
   are not traceable to any commit.  With ``REPRO_BENCH_REQUIRE_CLEAN=1``
   (CI sets it) a dirty *baseline* fails too — the committed artifact
@@ -77,9 +77,9 @@ SPECS: dict[str, GateSpec] = {
         GateSpec(
             kind="parallel",
             key=("workload", "workers"),
-            parity=("parity_pipe", "parity_shm"),
+            parity=("parity_shm",),
             exact=("supersteps", "net_mb"),
-            wall=("pipe_wall_s", "shm_wall_s"),
+            wall=("shm_wall_s",),
             comparable=("dataset", "seed"),
         ),
         GateSpec(
@@ -142,7 +142,7 @@ def detect_kind(payload: dict, path: Path | str | None = None) -> str:
     """Artifact kind from the row schema, falling back to the filename."""
     rows = payload.get("rows") or []
     row = rows[0] if rows else {}
-    if "parity_shm" in row or "parity_pipe" in row:
+    if "parity_shm" in row:
         return "parallel"
     if "traffic_identical" in row:
         return "bulk"
@@ -177,7 +177,6 @@ def check(
     fresh: dict,
     baseline: dict,
     tolerance: float = 1.5,
-    min_shm_speedup: float = 1.5,
     kind: str | None = None,
     require_clean: bool | None = None,
 ) -> list[str]:
@@ -207,18 +206,13 @@ def check(
     # -- parity: absolute, environment-independent -------------------------
     for row in fresh["rows"]:
         cell = _cell(tuple(row.get(k) for k in spec.key))
-        if kind == "parallel":
-            for t in ("pipe", "shm"):
-                if not row.get(f"parity_{t}", False):
-                    failures.append(f"{cell}: transport {t!r} broke sim parity")
-        else:
-            for field in spec.parity:
-                if not row.get(field, False):
-                    failures.append(
-                        f"{cell}: {field} is false — the two runs this row "
-                        "compares diverged; that is a correctness bug, not a "
-                        "performance number"
-                    )
+        for field in spec.parity:
+            if not row.get(field, False):
+                failures.append(
+                    f"{cell}: {field} is false — the two runs this row "
+                    "compares diverged; that is a correctness bug, not a "
+                    "performance number"
+                )
     for row in fresh.get("amortization", []):
         if not row.get("identical", False):
             failures.append(
@@ -273,18 +267,18 @@ def check(
                     f"(baseline {b}s, fresh {f}s, tolerance {tolerance}x)"
                 )
 
-    # -- shm must beat pipe somewhere real (parallel artifact only) ----------
+    # -- processes must match the simulator somewhere real (parallel only) ---
     if kind == "parallel" and fresh.get("speedup_valid"):
         two_worker = [r for r in fresh["rows"] if r.get("workers") == 2]
         best = max(
-            (r.get("speedup_shm_vs_pipe", 0.0) for r in two_worker),
+            (r.get("speedup_shm_vs_sim", 0.0) for r in two_worker),
             default=0.0,
         )
-        if two_worker and best < min_shm_speedup:
+        if two_worker and best < 1.0:
             failures.append(
-                f"shm never beat pipe by {min_shm_speedup}x at 2 workers "
-                f"(best speedup_shm_vs_pipe = {best}) — the ring transport "
-                "is not earning its keep on this machine"
+                "the process backend never matched the simulator at 2 "
+                f"workers (best speedup_shm_vs_sim = {best}) — it is not "
+                "earning its keep on this machine"
             )
 
     return failures
@@ -313,13 +307,6 @@ def main(argv=None) -> int:
         help="max allowed fresh/baseline wall-time ratio (default 1.5; "
         "only enforced when both artifacts have speedup_valid)",
     )
-    parser.add_argument(
-        "--min-shm-speedup",
-        type=float,
-        default=1.5,
-        help="required speedup_shm_vs_pipe on >=1 workload at 2 workers "
-        "when the fresh run had real cores (default 1.5; parallel only)",
-    )
     args = parser.parse_args(argv)
 
     fresh = json.loads(args.fresh.read_text())
@@ -330,9 +317,7 @@ def main(argv=None) -> int:
         else REPO_ROOT / f"BENCH_{kind}.json"
     )
     baseline = json.loads(baseline_path.read_text())
-    failures = check(
-        fresh, baseline, args.tolerance, args.min_shm_speedup, kind=kind
-    )
+    failures = check(fresh, baseline, args.tolerance, kind=kind)
     if failures:
         for msg in failures:
             print(f"REGRESSION: {msg}", file=sys.stderr)

@@ -107,14 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "injection work on both",
     )
     run.add_argument(
-        "--transport",
-        choices=["shm", "pipe"],
-        default=None,
-        help="process-executor frame data plane: shared-memory ring "
-        "buffers (shm, the default) or OS pipes (pipe, the portable "
-        "fallback); results are bit-identical either way",
-    )
-    run.add_argument(
         "--partition",
         choices=["hash", "range", "degree", "metis"],
         default="hash",
@@ -235,12 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execution backend for every epoch's refresh run; process "
         "epochs share one persistent worker pool (processes spawn once, "
         "then receive each epoch's graph/program as control messages)",
-    )
-    stream.add_argument(
-        "--transport",
-        choices=["shm", "pipe"],
-        default=None,
-        help="process-executor frame data plane (see `run --transport`)",
     )
     stream.add_argument(
         "--iterations", type=int, default=10, help="PageRank iterations"
@@ -501,7 +487,6 @@ def _cmd_run(args) -> int:
             failures=args.fail or None,
             recovery=args.recovery,
             num_workers=args.workers,
-            transport=args.transport,
             rebalance=args.rebalance,
             rebalance_every=args.rebalance_every,
         )
@@ -512,8 +497,6 @@ def _cmd_run(args) -> int:
     if args.rebalance != "off":
         kwargs["rebalance"] = args.rebalance
         kwargs["rebalance_every"] = args.rebalance_every
-    if args.transport is not None:
-        kwargs["transport"] = args.transport
     if partition == "metis":
         kwargs["partition"] = metis_like_partition(graph, args.workers, seed=0)
     elif partition == "range":
@@ -561,8 +544,6 @@ def _cmd_run(args) -> int:
         "executor": args.executor,
         **m.summary(),
     }
-    if args.executor == "process":
-        row["transport"] = args.transport if args.transport is not None else "shm"
     if result.live_alerts is not None:
         row["live_alerts"] = len(result.live_alerts)
     if args.json:
@@ -628,7 +609,6 @@ def _cmd_stream(args) -> int:
             refresh=args.refresh,
             compact_threshold=args.compact_threshold,
             executor=args.executor,
-            transport=args.transport,
             trace=recorder,
             live=live,
             rebalance=args.rebalance,

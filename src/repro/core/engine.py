@@ -44,10 +44,6 @@ RECOVERY_MODES = ("rollback", "confined")
 #: recognised execution backends
 EXECUTORS = ("sim", "process")
 
-#: recognised process-backend frame transports (see
-#: :class:`~repro.runtime.parallel.pool.WorkerPool`)
-TRANSPORTS = ("shm", "pipe")
-
 #: recognised adaptive-rebalancing triggers (re-exported from
 #: :mod:`repro.runtime.rebalance`); "epoch" is acted on by the streaming
 #: :class:`~repro.streaming.epoch.EpochEngine` between epochs, while
@@ -150,7 +146,7 @@ class ChannelEngine:
     executor:
         ``"sim"`` (default) runs every worker sequentially in-process
         with modeled parallelism; ``"process"`` runs each worker as a
-        real OS process over shared memory and pipes
+        real OS process over shared memory
         (:mod:`repro.runtime.parallel`) with bit-identical data,
         per-channel traffic, and byte/message totals.  Both backends
         support checkpointing, failure injection, and both recovery
@@ -164,14 +160,6 @@ class ChannelEngine:
         engine loads it into its own workers, so post-run introspection
         of ``engine.workers`` behaves as after a simulated run.  Off by
         default — result data always comes back regardless.
-    transport:
-        Process executor only: the frame data plane.  ``"shm"`` (the
-        default) exchanges codec frames worker-to-worker through
-        per-pair shared-memory ring buffers, with barrier votes batched
-        into the ring headers and compute overlapped with exchange;
-        ``"pipe"`` is the portable OS-pipe fallback.  Both produce
-        bit-identical results; ``None`` means the pool's transport (or
-        ``"shm"`` when the engine creates the pool).
     trace:
         Optional :class:`~repro.obs.trace.TraceRecorder`: the run emits
         structured span events (run, superstep, per-worker phase,
@@ -228,7 +216,6 @@ class ChannelEngine:
         initial_active: np.ndarray | None = None,
         executor: str = "sim",
         sync_state: bool = False,
-        transport: str | None = None,
         pool=None,
         trace=None,
         live=None,
@@ -241,7 +228,6 @@ class ChannelEngine:
         self.validate_options(
             executor=executor,
             recovery=recovery,
-            transport=transport,
             rebalance=rebalance,
             rebalance_every=rebalance_every,
         )
@@ -253,20 +239,6 @@ class ChannelEngine:
                     f"pool has {pool.num_workers} workers, engine wants "
                     f"{num_workers}"
                 )
-            if transport is not None:
-                # a single-worker pool normalizes any request to "pipe",
-                # so compare against the same normalization
-                effective = transport if num_workers > 1 else "pipe"
-                if pool.transport != effective:
-                    raise ValueError(
-                        f"pool uses transport={pool.transport!r}, engine "
-                        f"wants {transport!r}"
-                    )
-        self.transport = (
-            transport
-            if transport is not None
-            else (pool.transport if pool is not None else "shm")
-        )
         self.executor = executor
         self.sync_state = bool(sync_state)
         self.pool = pool
@@ -291,10 +263,7 @@ class ChannelEngine:
         self.metrics = MetricsCollector(num_workers=num_workers, network=network)
         if trace is not None:
             self.metrics.trace = trace
-            attrs = {"executor": executor}
-            if executor == "process":
-                attrs["transport"] = self.transport
-            self.metrics.trace_attrs = attrs
+            self.metrics.trace_attrs = {"executor": executor}
         self.live = live
         self.monitor = None
         if live is not None:
@@ -350,7 +319,6 @@ class ChannelEngine:
         failures=None,
         recovery: str = "rollback",
         num_workers: int | None = None,
-        transport: str | None = None,
         rebalance: str = "off",
         rebalance_every: int | None = None,
     ) -> FailureSchedule | None:
@@ -368,13 +336,6 @@ class ChannelEngine:
         """
         if executor not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if transport is not None:
-            if transport not in TRANSPORTS:
-                raise ValueError(
-                    f"transport must be one of {TRANSPORTS}, got {transport!r}"
-                )
-            if executor != "process":
-                raise ValueError("transport= only applies to executor='process'")
         if recovery not in RECOVERY_MODES:
             raise ValueError(
                 f"recovery must be one of {RECOVERY_MODES}, got {recovery!r}"

@@ -184,11 +184,12 @@ class ExecutorBackend:
                 stacklevel=3,
             )
 
-        metrics.end_run()
         result = EngineResult(metrics=metrics)
         if engine.monitor is not None:
             result.live_alerts = list(engine.monitor.alerts)
         result.data.update(self.collect_results())
+        # wall_time is what the caller waits for: results in hand
+        metrics.end_run()
         return result
 
     # -- shared fault-tolerance choreography --------------------------------

@@ -42,7 +42,7 @@ class SuperstepRecord:
     #: measured wall-time per phase per worker: {"barrier" | "compute" |
     #: "serialize" | "exchange": [seconds] * num_workers}.  "serialize"
     #: covers codec work in both directions (serialize + deserialize);
-    #: "exchange" is pure transport (pipe swap / ring pump).  Phases a
+    #: "exchange" is pure data movement (buffer swap / ring pump).  Phases a
     #: backend doesn't measure are simply absent.
     phases: dict = field(default_factory=dict)
 
@@ -76,7 +76,7 @@ class MetricsCollector:
     #: parent span id for the run span (the streaming epoch engine nests
     #: each per-epoch run under its epoch span)
     trace_parent: int | None = field(default=None, repr=False)
-    #: static attrs stamped on the run span (executor, transport, ...)
+    #: static attrs stamped on the run span (executor, ...)
     trace_attrs: dict = field(default_factory=dict, repr=False)
     _run_span: int | None = field(default=None, repr=False)
     _step_span: int | None = field(default=None, repr=False)

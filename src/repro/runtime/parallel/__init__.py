@@ -9,19 +9,18 @@ while reproducing the simulated superstep / exchange-round loop exactly:
   worker process (:mod:`repro.runtime.parallel.shm`);
 * all per-superstep traffic crosses process boundaries as the *same wire
   bytes* the channels serialize in the simulator — frames travel peer to
-  peer through per-pair shared-memory ring buffers (``transport="shm"``,
-  the default: barrier votes batch into the ring headers and one
-  control-pipe round trip drives a whole superstep) or over OS pipes
-  (``transport="pipe"``, the portable fallback), and the parent only
-  collects byte counts — so the byte/message accounting is bit-identical
-  to a simulated run (:mod:`repro.runtime.parallel.worker_proc`);
+  peer through per-pair shared-memory ring buffers, barrier votes go
+  through one shared vote segment, one control-pipe round trip drives a
+  whole superstep, and the parent only collects byte counts — so the
+  byte/message accounting is bit-identical to a simulated run
+  (:mod:`repro.runtime.parallel.worker_proc`);
 * worker processes are **persistent**: a :class:`WorkerPool` spawns them
   once and reconfigures them for new engines (new graph views, remapped
   partitions, next-epoch programs) through control messages, so
   streaming epochs and repeated runs never pay process startup again
   (:mod:`repro.runtime.parallel.pool`);
-* a command/reply barrier protocol over per-worker control pipes drives
-  the superstep loop (:mod:`repro.runtime.parallel.backend`, built on
+* a command/reply barrier protocol over per-worker control pipes (one
+  ``superstep`` command per superstep) drives the superstep loop (:mod:`repro.runtime.parallel.backend`, built on
   the :class:`~repro.runtime.executor.ExecutorBackend` seam); control
   messages are encoded with the checkpoint layer's tagged binary codec
   (:func:`repro.runtime.checkpoint.encode_state`) — the one exception is

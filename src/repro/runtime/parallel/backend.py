@@ -9,24 +9,23 @@ worker processes drawn from a persistent
   exported once per engine configuration into
   ``multiprocessing.shared_memory`` and attached read-only by every
   worker (no per-worker graph copies);
-* **barrier protocol** — one duplex control pipe per worker carries
-  ``begin`` / ``compute`` / ``exchange`` commands and their replies; the
-  shared drive loop in :meth:`ExecutorBackend.run` is the barrier (no
-  worker starts a phase before every worker finished the previous one);
+* **barrier protocol** — one duplex control pipe per worker carries one
+  ``superstep`` command per superstep; the children vote through the
+  pool's vote segment and run compute and every exchange round
+  autonomously, then send one consolidated reply each (see
+  ARCHITECTURE.md §9).  The shared drive loop in
+  :meth:`ExecutorBackend.run` is the barrier: no superstep starts
+  before every worker's reply for the previous one arrived;
 * **peer-to-peer frames** — per-superstep channel frames travel directly
-  between worker processes as the exact wire bytes the codec layer
-  produced: over per-pair shared-memory ring buffers on
-  ``transport="shm"`` pools (the default — barrier votes batch into the
-  ring headers and the parent drives a whole superstep with one
-  broadcast + one consolidated reply per worker, see ARCHITECTURE.md
-  §9), or over dedicated pipes on ``transport="pipe"`` pools; either
-  way the parent receives only byte counts and feeds them to the same
+  between worker processes, as the exact wire bytes the codec layer
+  produced, through per-pair shared-memory ring buffers; the parent
+  receives only byte counts and feeds them to the same
   :meth:`MetricsCollector.record_exchange` the simulator uses;
 * **fault tolerance for real** — checkpoints are captured worker-side
   and shipped to the parent as checkpoint-codec wire bytes; an injected
   failure kills the worker's OS process outright (the parent observes
   the death through the same supervision that catches genuine crashes),
-  a replacement is respawned onto the surviving frame pipes, and both
+  a replacement is respawned onto the same rings and vote segment, and both
   recovery modes restore it: rollback pushes the latest checkpoint blob
   to *every* worker, confined replays the lost supersteps from the
   parent's sender-side frame log and ships only the recovered state to
@@ -75,12 +74,7 @@ class ProcessBackend(ExecutorBackend):
         super().__init__(engine)
         #: whether this backend owns its pool's lifecycle (it created it)
         self.owns_pool = pool is None
-        self.pool = (
-            pool
-            if pool is not None
-            else WorkerPool(engine.num_workers, transport=engine.transport)
-        )
-        self._seq = 0  # current superstep's ring-vote sequence (shm only)
+        self.pool = pool if pool is not None else WorkerPool(engine.num_workers)
 
     # -- template entry: poison the pool on any escaping error ---------------
     def run(self, **kwargs):
@@ -88,7 +82,7 @@ class ProcessBackend(ExecutorBackend):
             return super().run(**kwargs)
         except BaseException:
             # an error escaping mid-protocol leaves worker processes in
-            # unknown states (possibly blocked on frame pipes); the pool
+            # unknown states (possibly spinning on a ring); the pool
             # cannot be trusted again
             self.pool.broken = True
             self.pool.shutdown()
@@ -126,87 +120,28 @@ class ProcessBackend(ExecutorBackend):
                     channel.initialize()
 
     def barrier_vote(self) -> int:
+        # one broadcast starts the whole superstep; the children vote
+        # through the vote segment and proceed autonomously (or go back
+        # to the command loop when the global total is 0)
         pool = self.pool
-        if pool.transport == "shm":
-            # one broadcast starts the whole superstep; the children vote
-            # through their ring-header slots and proceed autonomously
-            # (or go back to the command loop when the global total is 0)
-            self._seq = pool.next_seq()
-            pool.broadcast(
-                {
-                    "cmd": "superstep",
-                    "seq": self._seq,
-                    "log_frames": self.engine.frame_log is not None,
-                }
-            )
-            return sum(
-                pool.read_vote(w, self._seq) for w in range(pool.num_workers)
-            )
-        pool.broadcast({"cmd": "begin"})
-        return sum(int(reply["active"]) for reply in pool.gather("superstep begin"))
+        seq = pool.next_seq()
+        pool.broadcast(
+            {
+                "cmd": "superstep",
+                "seq": seq,
+                "log_frames": self.engine.frame_log is not None,
+            }
+        )
+        return sum(pool.read_vote(w, seq) for w in range(pool.num_workers))
 
     def compute_phase(self) -> None:
-        if self.pool.transport == "shm":
-            return  # already running inside the children's superstep
-        # vertex compute, genuinely parallel across processes
-        self.pool.broadcast({"cmd": "compute"})
-        for w, reply in enumerate(self.pool.gather("compute")):
-            self._merge(w, reply)
+        pass  # compute runs inside the children's superstep
 
     def exchange_phase(self) -> None:
-        if self.pool.transport == "shm":
-            return self._exchange_phase_shm()
-        engine = self.engine
-        metrics = engine.metrics
-        pool = self.pool
-        n = engine.num_workers
-        log_frames = engine.frame_log is not None
-        step_log: list[tuple[list[bool], list[list[bytes]]]] = []
-
-        group_active = [True] * engine.num_channels
-        round_num = 0
-        while any(group_active):
-            pool.broadcast(
-                {
-                    "cmd": "exchange",
-                    "group_active": group_active,
-                    "round": round_num,
-                    "log_frames": log_frames,
-                }
-            )
-            sent = np.zeros((n, n), dtype=np.int64)
-            next_active = [False] * engine.num_channels
-            frames: list[list[bytes]] = []
-            for w, reply in enumerate(pool.gather("exchange")):
-                self._merge(w, reply)
-                sent[w] = reply["sent"]
-                for cid, flag in enumerate(reply["next_active"]):
-                    if flag:
-                        next_active[cid] = True
-                if log_frames:
-                    frames.append(reply["frames"])
-            if log_frames:
-                # sender-side frame log, identical to the simulator's:
-                # the raw cross-worker buffers of this round, pre-exchange
-                step_log.append((list(group_active), frames))
-                metrics.record_log_bytes(
-                    sum(len(buf) for row in frames for buf in row)
-                )
-            local_bytes = int(np.trace(sent))
-            send_bytes = sent.sum(axis=1) - np.diag(sent)
-            recv_bytes = sent.sum(axis=0) - np.diag(sent)
-            metrics.record_exchange(send_bytes, recv_bytes, local_bytes=local_bytes)
-            group_active = next_active
-            round_num += 1
-
-        if log_frames:
-            engine.frame_log.append_step(engine.step_num, step_log)
-
-    def _exchange_phase_shm(self) -> None:
         """Collect the consolidated superstep replies and replay the
         per-round accounting the children performed off-pipe, producing
         byte-for-byte the same metrics and frame-log entries as the
-        round-by-round pipe protocol (and the simulator)."""
+        simulator's round-by-round exchange."""
         engine = self.engine
         metrics = engine.metrics
         pool = self.pool
@@ -292,7 +227,7 @@ class ProcessBackend(ExecutorBackend):
         # the failure is real: each doomed worker's OS process exits hard
         # and its death surfaces through the standard supervision path as
         # a WorkerProcessError, which recovery absorbs; the replacement
-        # then joins the surviving peers' frame pipes.  Kill/respawn one
+        # then re-attaches the surviving peers' rings.  Kill/respawn one
         # worker at a time so the pool's supervision never trips over a
         # *previously* injected death while confirming the next respawn.
         for w in doomed:

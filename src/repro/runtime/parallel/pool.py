@@ -15,15 +15,19 @@ A :class:`WorkerPool` keeps the worker processes alive instead:
   new shared-memory specs and the program factory as pickle bytes
   (:class:`~repro.core.program.ProgramSpec` makes the streaming
   planners' dynamically parameterized programs picklable);
+* **one data plane** — the pool owns one shared-memory ring per ordered
+  worker pair (frames) and one vote segment with a slot per worker
+  (barrier votes); the segments outlive any individual worker process;
 * **supervised failure injection** — :meth:`kill` makes a worker process
   exit hard (the real crash path: the parent sees a dead PID, not an
-  error reply) and :meth:`respawn` builds a replacement on the *same*
-  peer-to-peer frame pipes, which stay usable because the parent keeps
-  its own handles to every pipe end open;
+  error reply) and :meth:`respawn` builds a replacement that re-attaches
+  the *same* rings and vote segment;
 * **leak-free teardown** — cleanup runs via ``weakref.finalize``
   (which also fires at interpreter exit, i.e. ``atexit``): graceful
-  ``stop``, then terminate stragglers, close every pipe, and unlink all
-  shared-memory segments.  :meth:`shutdown` is explicit and idempotent.
+  ``stop``, then terminate stragglers, close every control pipe, and
+  unlink all shared-memory segments.  :meth:`shutdown` is explicit and
+  idempotent.  Workers also die with the parent process itself (see
+  ``worker_main``), so a parent killed outright leaks nothing either.
 
 The pool is deliberately engine-agnostic: it knows configurations
 (graph + ownership + seeds + program factory), commands, and replies —
@@ -34,6 +38,7 @@ the superstep drive loop lives in
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import weakref
 
@@ -49,6 +54,7 @@ from repro.runtime.parallel.shm import (
     DEFAULT_RING_CAPACITY,
     RingBuffer,
     SharedArrayExport,
+    VoteSegment,
 )
 from repro.runtime.parallel.worker_proc import worker_main
 
@@ -72,20 +78,16 @@ class _PoolState:
     callback (which must not reference the pool itself, or it would keep
     it alive forever)."""
 
-    __slots__ = ("procs", "control", "frame_send", "frame_recv", "rings", "export")
+    __slots__ = ("procs", "control", "rings", "votes", "export")
 
     def __init__(self) -> None:
         self.procs: list = []
         self.control: list = []
-        # parent-side handles of every worker<->worker frame pipe end;
-        # keeping them open is what lets a respawned replacement reuse
-        # the surviving peers' pipes (and why peers never see EOF)
-        self.frame_send: list[dict] = []
-        self.frame_recv: list[dict] = []
-        # shm transport: (src, dst) -> RingBuffer, parent-owned (the
-        # parent reads barrier votes from the header slots and unlinks
-        # the segments at shutdown; respawned replacements re-attach)
+        # (src, dst) -> RingBuffer plus the vote segment, parent-owned
+        # (the parent reads barrier votes and unlinks the segments at
+        # shutdown; respawned replacements re-attach)
         self.rings: dict = {}
+        self.votes: VoteSegment | None = None
         self.export: SharedArrayExport | None = None
 
 
@@ -109,17 +111,17 @@ def _shutdown_state(state: _PoolState) -> None:
                 proc.join(timeout=5)
         except Exception:
             pass
-    conns = list(state.control)
-    for row in state.frame_send + state.frame_recv:
-        conns.extend(row.values())
-    for conn in conns:
+    for conn in state.control:
         try:
             conn.close()
         except Exception:
             pass
-    for ring in state.rings.values():
+    segments = list(state.rings.values())
+    if state.votes is not None:
+        segments.append(state.votes)
+    for seg in segments:
         try:
-            ring.close(unlink=True)
+            seg.close(unlink=True)
         except Exception:
             pass
     if state.export is not None:
@@ -129,9 +131,8 @@ def _shutdown_state(state: _PoolState) -> None:
             pass
     state.procs = []
     state.control = []
-    state.frame_send = []
-    state.frame_recv = []
     state.rings = {}
+    state.votes = None
     state.export = None
 
 
@@ -144,37 +145,24 @@ class WorkerPool:
     every worker process ever started — the streaming tests assert it
     stays at ``num_workers`` across a whole multi-epoch run.
 
-    ``transport`` picks the frame data plane: ``"shm"`` (the default)
-    moves codec frames worker-to-worker through per-pair shared-memory
-    ring buffers with barrier votes batched into the ring headers;
-    ``"pipe"`` is the portable fallback over OS pipes with per-peer
-    sender threads.  Both are driven by
-    :class:`~repro.runtime.parallel.backend.ProcessBackend` to
-    bit-identical results.  A single-worker pool has no peers to
-    exchange with, so it always uses the pipe protocol.
-    ``ring_capacity`` sizes each ring's data area in bytes (frames
-    larger than a ring stream through it in chunks).
+    Codec frames move worker-to-worker through per-pair shared-memory
+    ring buffers, and barrier votes through the pool's vote segment
+    (a single-worker pool simply has no rings).  ``ring_capacity`` sizes
+    each ring's data area in bytes (frames larger than a ring stream
+    through it in chunks).
     """
 
     def __init__(
         self,
         num_workers: int,
         ctx=None,
-        transport: str = "shm",
         ring_capacity: int = DEFAULT_RING_CAPACITY,
     ) -> None:
         if num_workers < 1:
             raise ValueError("need at least one worker")
-        if transport not in ("shm", "pipe"):
-            raise ValueError(
-                f"transport must be 'shm' or 'pipe', got {transport!r}"
-            )
         self.num_workers = num_workers
-        #: the effective transport ("shm" degenerates to "pipe" at n=1:
-        #: there is no peer traffic for rings to carry)
-        self.transport = transport if num_workers > 1 else "pipe"
         self.ring_capacity = int(ring_capacity)
-        self._seq = 0  # superstep sequence for ring-slot barrier votes
+        self._seq = 0  # superstep sequence for the barrier votes
         self._ctx = ctx if ctx is not None else _mp_context()
         self._state = _PoolState()
         self._finalizer: weakref.finalize | None = None
@@ -284,35 +272,21 @@ class WorkerPool:
 
     def _spawn(self, cfg: dict) -> None:
         state = self._state
-        ctx = self._ctx
         n = self.num_workers
         export, child_cfg = self._share_config(cfg)
         state.export = export
         self._cfg = cfg
         self._child_cfg = child_cfg
 
-        state.frame_send = [{} for _ in range(n)]
-        state.frame_recv = [{} for _ in range(n)]
-        if self.transport == "shm":
-            # one SPSC ring per ordered worker pair; parent-owned so the
-            # segments outlive any individual worker process (a respawned
-            # replacement re-attaches by spec and adopts the cursors)
-            for src in range(n):
-                for dst in range(n):
-                    if src != dst:
-                        state.rings[(src, dst)] = RingBuffer.create(
-                            self.ring_capacity
-                        )
-        else:
-            # frame pipes: one simplex pipe per ordered worker pair; the
-            # parent retains both ends of every pipe for respawn support
-            for src in range(n):
-                for dst in range(n):
-                    if src == dst:
-                        continue
-                    r, s = ctx.Pipe(duplex=False)
-                    state.frame_send[src][dst] = s
-                    state.frame_recv[dst][src] = r
+        # one SPSC ring per ordered worker pair, plus the vote segment;
+        # parent-owned so the segments outlive any individual worker
+        # process (a respawned replacement re-attaches by spec and adopts
+        # the cursors)
+        state.votes = VoteSegment.create(n)
+        for src in range(n):
+            for dst in range(n):
+                if src != dst:
+                    state.rings[(src, dst)] = RingBuffer.create(self.ring_capacity)
 
         # arm the cleanup before anything starts: a failure partway
         # through the spawn loop must still release the processes already
@@ -329,18 +303,22 @@ class WorkerPool:
         counts = {self._ready(w, "startup") for w in range(n)}
         self._set_num_channels(counts)
 
-    def _ring_args(self, w: int) -> dict | None:
-        """Ring-buffer specs for worker ``w`` (``None`` on pipe pools):
-        the rings it produces into and the rings it consumes from."""
-        if self.transport != "shm":
-            return None
-        rings = self._state.rings
+    def _plane_args(self, w: int) -> dict:
+        """Data-plane specs for worker ``w``: the rings it produces into,
+        the rings it consumes from, and the vote segment."""
+        state = self._state
+        rings = state.rings
         n = self.num_workers
+        method = self._ctx.get_start_method()
         return {
             "num_workers": n,
-            "unregister": self._ctx.get_start_method() != "fork",
+            "unregister": method != "fork",
             "out": {dst: rings[(w, dst)].spec for dst in range(n) if dst != w},
             "in": {src: rings[(src, w)].spec for src in range(n) if src != w},
+            "votes": state.votes.spec,
+            # fork and spawn children are direct children of this process
+            # (a forkserver child is not, so its parent check is skipped)
+            "parent_pid": os.getpid() if method in ("fork", "spawn") else None,
         }
 
     def _start_process(self, w: int, spawn_cfg: dict) -> None:
@@ -348,14 +326,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(
-                w,
-                spawn_cfg,
-                child_conn,
-                state.frame_send[w],
-                state.frame_recv[w],
-                self._ring_args(w),
-            ),
+            args=(w, spawn_cfg, child_conn, self._plane_args(w)),
             daemon=True,
             name=f"repro-worker-{w}",
         )
@@ -456,8 +427,8 @@ class WorkerPool:
         )
 
     def respawn(self, w: int) -> None:
-        """Start a replacement process for worker ``w`` on the same frame
-        pipes (fresh control pipe, current configuration).  The
+        """Start a replacement process for worker ``w`` on the same rings
+        and vote segment (fresh control pipe, current configuration).  The
         replacement builds its program from the factory and initializes
         its channels, mirroring ``ChannelEngine.rebuild_worker``; the
         caller then restores checkpointed state into it."""
@@ -495,23 +466,23 @@ class WorkerPool:
     def gather(self, phase: str) -> list[dict]:
         return [self.reply(w, phase) for w in range(self.num_workers)]
 
-    # -- shm-transport barrier plane ----------------------------------------
+    # -- barrier plane -----------------------------------------------------
     def next_seq(self) -> int:
-        """A fresh superstep sequence number for the ring-slot barrier
-        votes.  Pool-owned and strictly monotonic across runs, rollback
-        rewinds, reconfigurations, and respawns — the slots live in the
-        ring segments, so a stale vote can never satisfy a newer wait."""
+        """A fresh superstep sequence number for the barrier votes.
+        Pool-owned and strictly monotonic across runs, rollback rewinds,
+        reconfigurations, and respawns — the slots live in the pool's
+        vote segment, so a stale vote can never satisfy a newer wait."""
         self._seq += 1
         return self._seq
 
     def read_vote(self, w: int, seq: int) -> int:
         """Worker ``w``'s barrier vote for superstep ``seq``, read from
-        the header slot of one of its outbound rings.  Supervised: a
-        worker dying before it votes raises :class:`WorkerProcessError`
-        (with its scavenged traceback) instead of hanging."""
+        slot ``w`` of the vote segment.  Supervised: a worker dying
+        before it votes raises :class:`WorkerProcessError` (with its
+        scavenged traceback) instead of hanging."""
         state = self._state
-        ring = state.rings[(w, (w + 1) % self.num_workers)]
-        return ring.read_slot(
+        return state.votes.read_slot(
+            w,
             seq,
             check=lambda: check_liveness(
                 state.procs, "superstep vote", state.control

@@ -81,7 +81,7 @@ def check_liveness(procs, phase: str, conns=None) -> None:
     """Raise :class:`WorkerProcessError` if any worker process is dead
     (scavenging its buffered traceback when ``conns`` is given).  This is
     the supervision predicate shared by :func:`recv_supervised`'s poll
-    loop and the shm transport's blocking ring waits."""
+    loop and the parent's barrier-vote wait."""
     for w, proc in enumerate(procs):
         if not proc.is_alive():
             raise _death_error(
@@ -95,8 +95,8 @@ def recv_supervised(
     """Receive worker ``worker_id``'s reply, watching *all* processes.
 
     Any worker dying aborts the wait — not just the one being awaited:
-    with peer-to-peer frame pipes a live worker may itself be blocked on
-    frames from the dead one, so its reply would never come.  When
+    with peer-to-peer frame rings a live worker may itself be spinning
+    on frames from the dead one, so its reply would never come.  When
     ``conns`` (all control pipes, in worker order) is given, a dead
     worker's buffered traceback is scavenged so mid-exchange failures
     keep their cause (see :func:`_scavenge_error`).

@@ -9,12 +9,12 @@ Two independent facilities live here:
   ``(name, dtype, shape)`` tuples, so they cross the control pipes
   through the same tagged-binary codec as everything else.
 
-* **Ring buffers** (:class:`RingBuffer`) — single-producer /
-  single-consumer byte FIFOs over a ``SharedMemory`` segment, the data
-  plane of the process backend's ``transport="shm"`` mode.  Codec frame
-  bytes flow worker-to-worker through these rings instead of through OS
-  pipes; a small fixed *slot* in each ring's header carries the batched
-  barrier votes (see ARCHITECTURE.md §9).
+* **The data plane** — :class:`RingBuffer`, a single-producer /
+  single-consumer byte FIFO over a ``SharedMemory`` segment (codec frame
+  bytes flow worker-to-worker through one ring per ordered worker
+  pair), and :class:`VoteSegment`, one pool-owned segment with a
+  seqlock slot per worker that carries the barrier votes (see
+  ARCHITECTURE.md §9).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "SharedArrayExport",
     "attach_array",
     "RingBuffer",
-    "RingTimeout",
+    "VoteSegment",
     "untrack_segment",
     "DEFAULT_RING_CAPACITY",
 ]
@@ -131,7 +131,7 @@ def untrack_segment(seg: shared_memory.SharedMemory) -> None:
 
 
 # ---------------------------------------------------------------------------
-# SPSC ring buffers (transport="shm" data plane)
+# SPSC ring buffers and the barrier-vote segment (the process data plane)
 # ---------------------------------------------------------------------------
 
 #: default per-ring data capacity; big enough that a typical superstep's
@@ -143,47 +143,30 @@ DEFAULT_RING_CAPACITY = 1 << 20
 # separate cache lines so the two processes never write the same line
 _OFF_HEAD = 0  # consumer cursor (monotonic, u64) — written by the reader
 _OFF_TAIL = 64  # producer cursor (monotonic, u64) — written by the writer
-_OFF_SLOT_SEQ = 128  # seqlock for the vote slot — written by the writer
-_OFF_SLOT_VAL = 136  # vote slot payload (u64) — written by the writer
-_HEADER_SIZE = 192
+_HEADER_SIZE = 128
 
 _U64 = struct.Struct("<Q")
 
-#: spin iterations before the wait loops start sleeping
+#: spin iterations before the vote wait starts sleeping
 _SPIN = 200
 #: ceiling for the backoff sleep (keeps peer-death detection prompt)
 _MAX_SLEEP = 0.002
 
 
-class RingTimeout(RuntimeError):
-    """A blocking ring operation exceeded its deadline (e.g. the peer
-    process died and will never produce/consume another byte)."""
-
-
 class RingBuffer:
     """A single-producer/single-consumer byte FIFO in shared memory.
 
-    The ring is a plain byte stream: ``write_some``/``read_some`` are the
-    non-blocking primitives (move as many bytes as space/data allow) that
-    the frame transport's pump interleaves across peers, and
-    ``write_all``/``read_exact``/``send``/``recv`` are blocking helpers
-    built on a spin-then-backoff wait (no futexes, no OS handles to
-    inherit — everything lives in the segment, so a respawned replacement
-    worker adopts the live cursors just by attaching).
+    The ring is a plain byte stream with two non-blocking primitives,
+    ``write_some``/``read_some`` (move as many bytes as space/data
+    allow), which the worker's frame pump interleaves across peers.
+    There are no futexes and no OS handles to inherit — everything lives
+    in the segment, so a respawned replacement worker adopts the live
+    cursors just by attaching.
 
     Cursors are monotonic u64s (data offset = cursor mod capacity), so
     "empty" (head == tail) and "exactly full" (tail - head == capacity)
-    are distinct without a wasted byte.  Exactly one process may write
-    (tail, slot) and exactly one may advance head; any number may *read*
-    the slot — the parent observes barrier votes through it without
-    consuming stream bytes.
-
-    Blocking waits take an optional ``check`` callable, invoked
-    periodically once the wait starts sleeping; it may raise to abort the
-    wait (the parent raises ``WorkerProcessError`` from its process-
-    liveness check, which is how a writer dying mid-frame surfaces
-    instead of hanging), and a ``timeout`` in seconds after which
-    :class:`RingTimeout` is raised.
+    are distinct without a wasted byte.  Exactly one process may advance
+    tail and exactly one may advance head.
     """
 
     __slots__ = ("_seg", "_buf", "capacity", "spec")
@@ -211,13 +194,7 @@ class RingBuffer:
         return cls(seg, spec["capacity"])
 
     def close(self, unlink: bool = False) -> None:
-        try:
-            self._buf = None
-            self._seg.close()
-            if unlink:
-                self._seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        _close_segment(self, unlink)
 
     # -- cursor access ---------------------------------------------------------
     def _load(self, off: int) -> int:
@@ -273,24 +250,75 @@ class RingBuffer:
         self._store(_OFF_HEAD, head + n)
         return out
 
-    # -- the vote slot ----------------------------------------------------------
-    def write_slot(self, seq: int, value: int) -> None:
-        """Publish ``value`` under sequence number ``seq`` (writer only).
-        Readers spinning on ``seq`` see the payload fully written first."""
-        self._store(_OFF_SLOT_VAL, value)
-        self._store(_OFF_SLOT_SEQ, seq)
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"RingBuffer({self.spec['name']}, cap={self.capacity}, pending={self.pending})"
 
-    def peek_slot(self) -> tuple[int, int]:
-        """(seq, value) currently published — non-blocking, non-consuming."""
-        seq = self._load(_OFF_SLOT_SEQ)
-        return seq, self._load(_OFF_SLOT_VAL)
 
-    def read_slot(self, seq: int, check=None, timeout: float | None = None) -> int:
-        """Block until the slot reaches sequence ``seq``; returns its value."""
-        deadline = None if timeout is None else time.perf_counter() + timeout
+# one seqlock slot per worker, each on its own cache line: [seq u64][value u64]
+_SLOT_SIZE = 64
+_OFF_SLOT_SEQ = 0
+_OFF_SLOT_VAL = 8
+
+
+class VoteSegment:
+    """The pool's barrier-vote plane: one shared segment holding one
+    seqlock slot per worker.
+
+    Each superstep, worker ``w`` publishes its active-vertex count into
+    slot ``w`` under the parent-issued sequence number, then reads every
+    peer's slot; all workers (and the parent) independently compute the
+    same global total.  Exactly one process writes each slot; any number
+    may read it — reading never consumes anything.
+    """
+
+    __slots__ = ("_seg", "_buf", "num_workers", "spec")
+
+    def __init__(self, seg: shared_memory.SharedMemory, num_workers: int) -> None:
+        self._seg = seg
+        self._buf = seg.buf
+        self.num_workers = int(num_workers)
+        self.spec = {"name": seg.name, "num_workers": int(num_workers)}
+
+    @classmethod
+    def create(cls, num_workers: int) -> "VoteSegment":
+        size = _SLOT_SIZE * num_workers
+        seg = shared_memory.SharedMemory(create=True, size=size)
+        seg.buf[:size] = bytes(size)
+        return cls(seg, num_workers)
+
+    @classmethod
+    def attach(cls, spec: dict, unregister: bool = False) -> "VoteSegment":
+        seg = shared_memory.SharedMemory(name=spec["name"])
+        if unregister:
+            untrack_segment(seg)
+        return cls(seg, spec["num_workers"])
+
+    def close(self, unlink: bool = False) -> None:
+        _close_segment(self, unlink)
+
+    def write_slot(self, w: int, seq: int, value: int) -> None:
+        """Publish ``value`` into slot ``w`` under sequence number ``seq``
+        (worker ``w`` only).  Readers spinning on ``seq`` see the payload
+        fully written first."""
+        base = w * _SLOT_SIZE
+        _U64.pack_into(self._buf, base + _OFF_SLOT_VAL, value)
+        _U64.pack_into(self._buf, base + _OFF_SLOT_SEQ, seq)
+
+    def peek_slot(self, w: int) -> tuple[int, int]:
+        """(seq, value) currently in slot ``w`` — non-blocking."""
+        base = w * _SLOT_SIZE
+        seq = _U64.unpack_from(self._buf, base + _OFF_SLOT_SEQ)[0]
+        return seq, _U64.unpack_from(self._buf, base + _OFF_SLOT_VAL)[0]
+
+    def read_slot(self, w: int, seq: int, check=None) -> int:
+        """Block until slot ``w`` reaches sequence ``seq``; returns its
+        value.  ``check`` is invoked periodically once the wait starts
+        sleeping and may raise to abort it (the parent raises
+        ``WorkerProcessError`` from its process-liveness check, which is
+        how a worker dying before it votes surfaces instead of hanging)."""
         spins = 0
         while True:
-            have, value = self.peek_slot()
+            have, value = self.peek_slot(w)
             if have >= seq:
                 return value
             spins += 1
@@ -298,69 +326,13 @@ class RingBuffer:
                 time.sleep(min(_MAX_SLEEP, 5e-5 * (spins - _SPIN)))
                 if check is not None:
                     check()
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise RingTimeout(
-                        f"vote slot never reached seq {seq} (stuck at {have})"
-                    )
 
-    # -- blocking helpers ---------------------------------------------------------
-    def write_all(self, data, check=None, timeout: float | None = None) -> None:
-        """Write all of ``data``, spinning/backing off while the ring is
-        full.  Frames larger than the ring stream through in chunks."""
-        data = memoryview(data)
-        off = 0
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        spins = 0
-        while off < len(data):
-            n = self.write_some(data[off:])
-            if n:
-                off += n
-                spins = 0
-                continue
-            spins += 1
-            if spins > _SPIN:
-                time.sleep(min(_MAX_SLEEP, 5e-5 * (spins - _SPIN)))
-                if check is not None:
-                    check()
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise RingTimeout(
-                        f"ring full for {timeout}s ({len(data) - off} bytes unsent)"
-                    )
 
-    def read_exact(self, n: int, check=None, timeout: float | None = None) -> bytes:
-        """Read exactly ``n`` bytes, blocking until the writer provides
-        them.  ``check`` fires while waiting — this is where a reader
-        notices the writer died mid-frame instead of hanging."""
-        parts: list[bytes] = []
-        got = 0
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        spins = 0
-        while got < n:
-            chunk = self.read_some(n - got)
-            if chunk:
-                parts.append(chunk)
-                got += len(chunk)
-                spins = 0
-                continue
-            spins += 1
-            if spins > _SPIN:
-                time.sleep(min(_MAX_SLEEP, 5e-5 * (spins - _SPIN)))
-                if check is not None:
-                    check()
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise RingTimeout(
-                        f"writer stalled: got {got} of {n} expected bytes"
-                    )
-        return b"".join(parts)
-
-    # -- framed messages (length-prefixed), used by tests and small payloads -------
-    def send(self, payload, check=None, timeout: float | None = None) -> None:
-        self.write_all(_U64.pack(len(payload)), check, timeout)
-        self.write_all(payload, check, timeout)
-
-    def recv(self, check=None, timeout: float | None = None) -> bytes:
-        (length,) = _U64.unpack(self.read_exact(8, check, timeout))
-        return self.read_exact(length, check, timeout)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RingBuffer({self.spec['name']}, cap={self.capacity}, pending={self.pending})"
+def _close_segment(owner, unlink: bool) -> None:
+    try:
+        owner._buf = None
+        owner._seg.close()
+        if unlink:
+            owner._seg.unlink()
+    except FileNotFoundError:  # pragma: no cover - already gone
+        pass

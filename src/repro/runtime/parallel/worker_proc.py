@@ -7,34 +7,24 @@ child is *persistent*: it serves barrier-protocol commands from the
 parent for as long as its :class:`~repro.runtime.parallel.pool.WorkerPool`
 lives, across many ``engine.run()`` calls and streaming epochs.
 
-Run-loop commands (one superstep = ``begin`` / ``compute`` / ``exchange``\\*):
+Run-loop command (one per superstep):
 
-``begin``
-    ``program.before_superstep()`` + ``worker.begin_superstep()``;
-    replies with the active-set size so the parent can decide
-    termination globally.
-``compute``
-    Bump ``step_num`` and run the program on the stored active set.
-``exchange``
-    One exchange round: serialize the active channel groups, swap the
-    raw frame buffers peer-to-peer over the data pipes, deserialize, and
-    report which channel groups want another round.  The *same bytes*
-    the simulator's :class:`~repro.runtime.buffers.BufferExchange` would
-    move now cross real process boundaries; the parent gets only their
-    lengths, for cost-model accounting — plus the raw outgoing buffers
-    themselves when ``log_frames`` is set, feeding the parent's
-    sender-side :class:`~repro.core.recovery.FrameLog` for confined
-    recovery.
-``superstep`` (``transport="shm"`` pools only)
-    The batched alternative to the three commands above: the child runs
-    the *whole* superstep autonomously — barrier vote through the ring
-    header slots, compute, every exchange round with frames flowing
-    worker-to-worker through shared-memory ring buffers
+``superstep``
+    The child runs the *whole* superstep autonomously: ``before_superstep``
+    and ``begin_superstep``, the barrier vote through its slot of the
+    pool's :class:`~repro.runtime.parallel.shm.VoteSegment`, compute,
+    and every exchange round — frames flow worker-to-worker through
+    shared-memory ring buffers
     (:class:`~repro.runtime.parallel.shm.RingBuffer`), and round
-    continuation merged from in-stream votes — then sends one
-    consolidated reply carrying the per-round byte counts, frame logs,
-    and phase timings.  A superstep costs O(peers) control-pipe
-    messages instead of O(rounds × workers); see ARCHITECTURE.md §9.
+    continuation is merged from in-stream votes.  It then sends one
+    consolidated reply carrying the per-round byte counts (the parent
+    replays them into the same cost-model accounting the simulator
+    uses), the raw outgoing frames when ``log_frames`` is set (feeding
+    the parent's sender-side :class:`~repro.core.recovery.FrameLog` for
+    confined recovery), and phase timings.  When the global vote is 0
+    the child sends nothing — the parent read the same votes.  A
+    superstep costs O(1) control-pipe messages per worker; see
+    ARCHITECTURE.md §9.
 ``finalize``
     Ship ``program.finalize()`` — and, when state sync is requested, the
     full per-worker state in the checkpoint layer's capture format —
@@ -85,11 +75,13 @@ reply.
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import os
 import pickle
+import signal
 import struct
-import threading
+import sys
 import time
 import traceback
 from collections import deque
@@ -107,7 +99,7 @@ from repro.runtime.checkpoint import (
     load_worker_state,
 )
 from repro.runtime.parallel.protocol import recv_msg, send_msg
-from repro.runtime.parallel.shm import RingBuffer, attach_array
+from repro.runtime.parallel.shm import RingBuffer, VoteSegment, attach_array
 
 __all__ = ["worker_main"]
 
@@ -115,6 +107,9 @@ _U64 = struct.Struct("<Q")
 
 #: pump-loop spin budget before backing off to sleeps
 _SPIN = 200
+
+#: prctl(2) option: signal delivered to this process when its parent dies
+_PR_SET_PDEATHSIG = 1
 
 
 class _ChildCounters:
@@ -159,47 +154,6 @@ class _WorkerHost:
         self.step_num = 0
 
 
-def _exchange_frames(
-    worker_id: int,
-    num_workers: int,
-    out_bufs: list[bytes],
-    send_conns: dict,
-    recv_conns: dict,
-) -> list[bytes]:
-    """Swap this round's raw buffers with every peer, pairwise.
-
-    A dedicated sender thread pushes all outgoing buffers while the main
-    thread drains the incoming pipes, so no send can wait on a receive —
-    every pipe is drained independently of this worker's own send
-    progress, which rules out the circular-wait deadlock of a naive
-    send-then-receive loop once a buffer outgrows the OS pipe capacity.
-    """
-    inbox = [b""] * num_workers
-    inbox[worker_id] = out_bufs[worker_id]  # self-delivery never hits a pipe
-    if num_workers == 1:
-        return inbox
-
-    failure: list[BaseException] = []
-
-    def _send_all() -> None:
-        try:
-            for peer in range(num_workers):
-                if peer != worker_id:
-                    send_conns[peer].send_bytes(out_bufs[peer])
-        except BaseException as exc:  # pragma: no cover - peer death race
-            failure.append(exc)
-
-    sender = threading.Thread(target=_send_all, daemon=True)
-    sender.start()
-    for peer in range(num_workers):
-        if peer != worker_id:
-            inbox[peer] = recv_conns[peer].recv_bytes()
-    sender.join()
-    if failure:  # pragma: no cover - peer death race
-        raise failure[0]
-    return inbox
-
-
 class _RingPeer:
     """Per-peer transport state: the outbound send queue and the inbound
     incremental record parser (see :class:`_RingTransport`)."""
@@ -221,9 +175,10 @@ class _RingPeer:
 
 
 class _RingTransport:
-    """The child side of ``transport="shm"``: one outbound SPSC ring per
-    peer (this worker produces) and one inbound ring per peer (this
-    worker consumes), pumped from the main thread — no sender threads.
+    """The child side of the data plane: one outbound SPSC ring per peer
+    (this worker produces) and one inbound ring per peer (this worker
+    consumes), pumped from the main thread.  A single-worker pool has
+    no peers and no rings; the same loop then only delivers to itself.
 
     Wire format, per exchange round and directed pair: a sequence of
     ``[u64 length > 0][payload]`` chunks (one per channel flush, so a
@@ -235,11 +190,11 @@ class _RingTransport:
     (OR across all workers, its own included), so all children agree on
     the next round's active channel groups without asking the parent.
 
-    Barrier votes ride the rings too: each superstep, the worker
-    publishes its active-vertex count into every outbound ring's header
-    slot under the parent-issued sequence number, then reads every
-    peer's slot — again, all processes independently compute the same
-    global total (the parent reads one slot per worker for its copy).
+    Barrier votes go through the pool's vote segment: each superstep,
+    the worker publishes its active-vertex count into its own slot under
+    the parent-issued sequence number, then reads every peer's slot —
+    again, all processes independently compute the same global total
+    (the parent reads the same slots for its copy).
 
     Everything here is single-threaded and non-blocking at the
     primitive level: :meth:`pump` moves whatever bytes fit right now,
@@ -249,13 +204,15 @@ class _RingTransport:
     ring.  Waits carry no liveness checks — a peer dying mid-frame
     leaves this worker spinning, and the *parent's* supervision (which
     polls every PID while gathering replies) surfaces the death and
-    tears the pool down, exactly as on the pipe path.
+    tears the pool down.
     """
 
     def __init__(self, worker_id: int, num_workers: int,
-                 out_rings: dict[int, RingBuffer], in_rings: dict[int, RingBuffer]):
+                 out_rings: dict[int, RingBuffer], in_rings: dict[int, RingBuffer],
+                 votes: VoteSegment):
         self.worker_id = worker_id
         self.num_workers = num_workers
+        self.votes = votes
         self.peers = {
             peer: _RingPeer(out_rings[peer], in_rings[peer])
             for peer in range(num_workers)
@@ -268,11 +225,10 @@ class _RingTransport:
 
     # -- barrier votes ------------------------------------------------------
     def vote_and_total(self, seq: int, my_active: int) -> int:
-        for p in self.peers.values():
-            p.out_ring.write_slot(seq, my_active)
+        self.votes.write_slot(self.worker_id, seq, my_active)
         total = my_active
-        for p in self.peers.values():
-            total += p.in_ring.read_slot(seq)
+        for peer in self.peers:
+            total += self.votes.read_slot(peer, seq)
         return total
 
     # -- the pump -----------------------------------------------------------
@@ -429,19 +385,16 @@ class _RingTransport:
         for p in self.peers.values():
             p.out_ring.close()
             p.in_ring.close()
+        self.votes.close()
 
 
 class _WorkerProcess:
     """One child's whole runtime: shared-memory attachments, the Worker,
     and the command dispatch loop."""
 
-    def __init__(
-        self, worker_id: int, conn, send_conns: dict, recv_conns: dict, rings=None
-    ):
+    def __init__(self, worker_id: int, conn, plane: dict):
         self.worker_id = worker_id
         self.conn = conn
-        self.send_conns = send_conns
-        self.recv_conns = recv_conns
         self.segments: list = []
         self.worker: Worker | None = None
         self.host: _WorkerHost | None = None
@@ -449,15 +402,14 @@ class _WorkerProcess:
         self.active = np.empty(0, dtype=np.int64)
         self.live = None
         self.live_writer = None
-        self.transport: _RingTransport | None = None
-        if rings is not None:
-            unreg = rings["unregister"]
-            self.transport = _RingTransport(
-                worker_id,
-                rings["num_workers"],
-                {int(p): RingBuffer.attach(s, unreg) for p, s in rings["out"].items()},
-                {int(p): RingBuffer.attach(s, unreg) for p, s in rings["in"].items()},
-            )
+        unreg = plane["unregister"]
+        self.transport = _RingTransport(
+            worker_id,
+            plane["num_workers"],
+            {int(p): RingBuffer.attach(s, unreg) for p, s in plane["out"].items()},
+            {int(p): RingBuffer.attach(s, unreg) for p, s in plane["in"].items()},
+            VoteSegment.attach(plane["votes"], unreg),
+        )
 
     # -- (re)configuration ---------------------------------------------------
     def build(self, cfg: dict, factory) -> int:
@@ -550,11 +502,10 @@ class _WorkerProcess:
                 self.live.close()
             except Exception:  # pragma: no cover
                 pass
-        if self.transport is not None:
-            try:
-                self.transport.close()
-            except Exception:  # pragma: no cover
-                pass
+        try:
+            self.transport.close()
+        except Exception:  # pragma: no cover
+            pass
         for seg in self.segments:
             try:
                 seg.close()
@@ -572,109 +523,13 @@ class _WorkerProcess:
             worker = self.worker
             host = self.host
             counters = host.metrics
-            num_workers = host.num_workers
 
-            if cmd == "begin":
-                worker.program.before_superstep()
-                self.active = worker.begin_superstep()
-                send_msg(conn, {"active": int(self.active.size)})
-
-            elif cmd == "compute":
-                host.step_num += 1
-                t0 = time.perf_counter()
-                worker.run_compute(self.active)
-                seconds = time.perf_counter() - t0
-                if self.live_writer is not None:
-                    # messages are read *before* the reply's counters.flush;
-                    # byte/round contributions follow per exchange round
-                    self.live_writer.add(
-                        superstep=1,
-                        active=int(self.active.size),
-                        messages=counters.messages,
-                        compute=seconds,
-                    )
-                    self.live_writer.publish()
-                send_msg(
-                    conn,
-                    {
-                        "seconds": seconds,
-                        "phases": {"compute": seconds},
-                        "counters": counters.flush(),
-                    },
-                )
-
-            elif cmd == "exchange":
-                group_active = msg["group_active"]
-                t0 = time.perf_counter()
-                if msg["round"] == 0:
-                    for channel in worker.channels:
-                        channel.reset_round()
-                for cid, channel in enumerate(worker.channels):
-                    if group_active[cid]:
-                        channel.serialize()
-                out_bufs = []
-                for peer in range(num_workers):
-                    writer = worker.buffers.out[peer]
-                    out_bufs.append(writer.getvalue())
-                    writer.clear()
-                seconds = time.perf_counter() - t0
-
-                t_wire = time.perf_counter()
-                inbox = _exchange_frames(
-                    worker_id, num_workers, out_bufs, self.send_conns, self.recv_conns
-                )
-                wire_seconds = time.perf_counter() - t_wire
-                worker.buffers.inbox = inbox
-
-                t0 = time.perf_counter()
-                routed = worker.route_inbox()
-                next_active = [False] * len(worker.channels)
-                for cid, channel in enumerate(worker.channels):
-                    if group_active[cid]:
-                        channel.deserialize(routed.get(cid, []))
-                        if channel.again():
-                            next_active[cid] = True
-                    elif cid in routed:  # pragma: no cover - defensive
-                        raise RuntimeError(f"data arrived for inactive channel {cid}")
-                seconds += time.perf_counter() - t0
-
-                if self.live_writer is not None:
-                    self.live_writer.add(
-                        rounds=1,
-                        net_bytes=sum(
-                            len(b)
-                            for peer, b in enumerate(out_bufs)
-                            if peer != worker_id
-                        ),
-                        local_bytes=len(out_bufs[worker_id]),
-                        messages=counters.messages,
-                        serialize=seconds,
-                        exchange=wire_seconds,
-                    )
-                    self.live_writer.publish()
-                reply = {
-                    "sent": np.array([len(b) for b in out_bufs], dtype=np.int64),
-                    "next_active": next_active,
-                    "seconds": seconds,
-                    "phases": {"serialize": seconds, "exchange": wire_seconds},
-                    "counters": counters.flush(),
-                }
-                if msg["log_frames"]:
-                    # sender-side frame log (confined recovery): the raw
-                    # cross-worker buffers, exactly as the simulator logs
-                    # them (self-delivery stays local, hence b"")
-                    reply["frames"] = [
-                        b"" if peer == worker_id else out_bufs[peer]
-                        for peer in range(num_workers)
-                    ]
-                send_msg(conn, reply)
-
-            elif cmd == "superstep":
-                # transport="shm": the whole superstep runs autonomously —
-                # barrier votes through the ring slots, frames through the
-                # rings, channel-group continuation merged identically by
-                # every worker — and the parent gets ONE consolidated
-                # reply (or none at all when the global vote was 0)
+            if cmd == "superstep":
+                # the whole superstep runs autonomously — barrier votes
+                # through the vote segment, frames through the rings,
+                # channel-group continuation merged identically by every
+                # worker — and the parent gets ONE consolidated reply (or
+                # none at all when the global vote was 0)
                 transport = self.transport
                 worker.program.before_superstep()
                 self.active = worker.begin_superstep()
@@ -696,7 +551,7 @@ class _WorkerProcess:
                     channel.reset_round()
                 group_active = [True] * nchan
                 rounds: list[dict] = []
-                codec_s = 0.0  # serialize + deserialize (matches sim/pipe
+                codec_s = 0.0  # serialize + deserialize (matches the sim's
                 #                accounting: this is what record_compute sees)
                 wire_s = 0.0  # ring pumping: pure transport
 
@@ -839,25 +694,39 @@ class _WorkerProcess:
                 raise RuntimeError(f"unknown command {cmd!r}")
 
 
-def worker_main(
-    worker_id: int,
-    cfg: dict,
-    conn,
-    send_conns: dict,
-    recv_conns: dict,
-    rings: dict | None = None,
-) -> None:
+def _die_with_parent(parent_pid: int | None) -> None:
+    """Have the kernel SIGKILL this worker the moment its parent dies
+    (Linux ``PR_SET_PDEATHSIG``), so a parent killed without running its
+    cleanup never leaves workers behind — and, once they are gone, the
+    stdlib resource tracker unlinks the pool's shared-memory segments.
+    The ``getppid`` check closes the race where the parent died before
+    the request.  (The signal follows the *thread* that started this
+    process, so a pool must be spawned from a thread that outlives it.)
+    """
+    if sys.platform.startswith("linux"):
+        try:
+            libc = ctypes.CDLL(None, use_errno=True)
+            libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+        except (OSError, AttributeError):  # pragma: no cover - no libc prctl
+            pass
+    if parent_pid is not None and os.getppid() != parent_pid:
+        os._exit(1)
+
+
+def worker_main(worker_id: int, cfg: dict, conn, plane: dict) -> None:
     """Child-process entry point; never raises (errors go to the parent).
 
     ``cfg`` is the spawn-time configuration (shared-array specs plus the
     first run's ``program_factory``, which rides through the process
     start machinery — under ``fork`` it never crosses a pipe, so
     closures and locally defined classes work).  Later configurations
-    arrive as ``configure`` commands instead.  ``rings`` (shm transport
-    only) carries the per-peer ring-buffer specs — pool-lifetime, so a
-    respawned replacement re-attaches the same segments.
+    arrive as ``configure`` commands instead.  ``plane`` carries the
+    per-peer ring-buffer specs, the vote-segment spec, and the spawning
+    parent's PID — pool-lifetime, so a respawned replacement re-attaches
+    the same segments.
     """
-    proc = _WorkerProcess(worker_id, conn, send_conns, recv_conns, rings)
+    _die_with_parent(plane["parent_pid"])
+    proc = _WorkerProcess(worker_id, conn, plane)
     try:
         num_channels = proc.build(cfg, cfg["program_factory"])
         send_msg(conn, {"ready": True, "num_channels": num_channels})

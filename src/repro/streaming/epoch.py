@@ -97,10 +97,6 @@ class EpochEngine:
         across all epochs; ``False`` spawns a fresh pool per epoch — the
         honest respawn-per-epoch baseline the pool-amortization benchmark
         compares against.
-    transport:
-        Process executor only: the worker-to-worker frame data plane,
-        ``"shm"`` (default) or ``"pipe"`` — see
-        :class:`~repro.core.engine.ChannelEngine`.
     trace:
         Optional :class:`~repro.obs.trace.TraceRecorder`: the stream
         emits one ``stream`` root span with one ``epoch`` span per
@@ -139,7 +135,6 @@ class EpochEngine:
         partition_seed: int = 0,
         executor: str = "sim",
         pool_reuse: bool = True,
-        transport: str | None = None,
         trace=None,
         live=None,
         rebalance: str = "off",
@@ -152,11 +147,9 @@ class EpochEngine:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         ChannelEngine.validate_options(
             executor=executor,
-            transport=transport,
             rebalance=rebalance,
             rebalance_every=rebalance_every,
         )
-        self.transport = transport
         self.delta = DeltaGraph(graph, compact_threshold=compact_threshold)
         self.algorithm = algorithm
         self.num_workers = num_workers
@@ -332,10 +325,7 @@ class EpochEngine:
         if self.pool is None or not self.pool_reuse:
             if self.pool is not None:
                 self.pool.shutdown()
-            self.pool = WorkerPool(
-                self.num_workers,
-                transport=self.transport if self.transport is not None else "shm",
-            )
+            self.pool = WorkerPool(self.num_workers)
         return {"executor": "process", "pool": self.pool, "sync_state": True}
 
     def close(self) -> None:

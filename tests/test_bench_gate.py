@@ -51,12 +51,9 @@ def _artifact(**overrides) -> dict:
                 "workers": 2,
                 "supersteps": 11,
                 "net_mb": 2.64,
-                "sim_wall_s": 0.05,
-                "pipe_wall_s": 0.15,
+                "sim_wall_s": 0.10,
                 "shm_wall_s": 0.08,
-                "speedup_shm_vs_sim": 0.62,
-                "speedup_shm_vs_pipe": 1.87,
-                "parity_pipe": True,
+                "speedup_shm_vs_sim": 1.25,
                 "parity_shm": True,
             },
             {
@@ -65,11 +62,8 @@ def _artifact(**overrides) -> dict:
                 "supersteps": 25,
                 "net_mb": 8.913,
                 "sim_wall_s": 0.17,
-                "pipe_wall_s": 0.40,
                 "shm_wall_s": 0.30,
                 "speedup_shm_vs_sim": 0.57,
-                "speedup_shm_vs_pipe": 1.33,
-                "parity_pipe": True,
                 "parity_shm": True,
             },
         ],
@@ -92,7 +86,7 @@ class TestCheckRegression:
         fresh["rows"][0]["parity_shm"] = False
         base = _artifact(speedup_valid=False)
         failures = check_regression.check(fresh, base)
-        assert any("broke sim parity" in f for f in failures)
+        assert any("parity_shm is false" in f for f in failures)
 
     def test_changed_work_gates(self):
         fresh = _artifact()
@@ -118,16 +112,19 @@ class TestCheckRegression:
             fresh, base = _artifact(), _artifact()
             fresh["rows"][0]["shm_wall_s"] = 10.0
             (fresh if side == "fresh" else base)["speedup_valid"] = False
-            # drop the shm-vs-pipe requirement too when fresh is 1-cpu
-            fresh["rows"][0]["speedup_shm_vs_pipe"] = 0.01
+            # drop the process-vs-sim requirement too when fresh is 1-cpu
+            fresh["rows"][0]["speedup_shm_vs_sim"] = 0.01
             failures = check_regression.check(fresh, base)
             assert not any("regressed" in f for f in failures)
 
-    def test_shm_must_beat_pipe_on_real_cores(self):
+    def test_process_must_match_sim_on_real_cores(self):
         fresh = _artifact()
-        fresh["rows"][0]["speedup_shm_vs_pipe"] = 1.1  # the only 2-worker row
-        failures = check_regression.check(fresh, _artifact(), min_shm_speedup=1.5)
-        assert any("never beat pipe" in f for f in failures)
+        fresh["rows"][0]["speedup_shm_vs_sim"] = 0.9  # the only 2-worker row
+        failures = check_regression.check(fresh, _artifact())
+        assert any("never matched the simulator" in f for f in failures)
+        # 1-cpu artifacts measure protocol overhead: the clause is off
+        fresh["speedup_valid"] = False
+        assert check_regression.check(fresh, _artifact()) == []
 
     def test_subset_smoke_checks_only_shared_rows(self):
         # CI smoke runs --workers 2 against a committed [2, 8] baseline:
@@ -147,7 +144,7 @@ class TestCheckRegression:
         base.write_text(json.dumps(_artifact()))
         assert check_regression.main([str(good), "--baseline", str(base)]) == 0
         bad = _artifact()
-        bad["rows"][0]["parity_pipe"] = False
+        bad["rows"][0]["parity_shm"] = False
         good.write_text(json.dumps(bad))
         assert check_regression.main([str(good), "--baseline", str(base)]) == 1
         assert "REGRESSION" in capsys.readouterr().err

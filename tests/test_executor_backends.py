@@ -69,6 +69,16 @@ def _assert_identical(a, b):
     assert ma.total_messages == mb.total_messages
 
 
+def _pool_segment_names(pool):
+    """Every shared-memory segment a pool owns: graph/partition exports,
+    frame rings, and the vote segment."""
+    state = pool._state
+    names = [seg.name for seg in state.export._segments]
+    names += [ring.spec["name"] for ring in state.rings.values()]
+    names.append(state.votes.spec["name"])
+    return names
+
+
 _baselines = {}
 
 
@@ -343,7 +353,7 @@ class TestPoolLifecycle:
         engine.run()
         pool = engine.backend.pool
         procs = list(pool._state.procs)
-        segment_names = [seg.name for seg in pool._state.export._segments]
+        segment_names = _pool_segment_names(pool)
 
         pool.shutdown()
         pool.shutdown()  # idempotent
@@ -368,7 +378,7 @@ class TestPoolLifecycle:
         engine.run()
         pool = engine.backend.pool
         procs = list(pool._state.procs)
-        segment_names = [seg.name for seg in pool._state.export._segments]
+        segment_names = _pool_segment_names(pool)
         del engine, pool
         gc.collect()
         for p in procs:
@@ -377,3 +387,22 @@ class TestPoolLifecycle:
         for name in segment_names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+
+class TestWallTime:
+    def test_wall_time_includes_result_collection(self, monkeypatch):
+        """``wall_time`` is what the caller waits for: it stops only once
+        the results are in hand, after ``collect_results``."""
+        import time
+
+        from repro.runtime.executor import SimBackend
+
+        collect = SimBackend.collect_results
+
+        def slow_collect(self):
+            time.sleep(0.2)
+            return collect(self)
+
+        monkeypatch.setattr(SimBackend, "collect_results", slow_collect)
+        _, result = run_wcc(_DIRECTED, variant="basic", mode="bulk", num_workers=2)
+        assert result.metrics.wall_time >= 0.2

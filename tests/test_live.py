@@ -6,7 +6,7 @@ The contract under test, in order of importance:
    concurrently are never torn: invariant-linked counters stay linked in
    every non-stale row, and a slot deliberately left mid-publish is
    reported ``stale`` instead of returned as garbage.
-2. **Backend parity** — sim and process (both transports) publish the
+2. **Backend parity** — sim and process publish the
    *same slot schema with the same values*: per-worker live counters sum
    exactly to the final ``MetricsCollector`` totals, and the process
    rows are bit-identical to the sim rows for the same run.
@@ -273,12 +273,9 @@ class TestBackendParity:
             assert r["rounds"] == metrics.total_rounds
             assert r["compute_seconds"] >= 0.0
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_process_rows_bit_identical_to_sim(self, transport):
+    def test_process_rows_bit_identical_to_sim(self):
         sim_rows, sim_metrics = _run_with_live()
-        proc_rows, proc_metrics = _run_with_live(
-            executor="process", transport=transport
-        )
+        proc_rows, proc_metrics = _run_with_live(executor="process")
         # identical schema...
         assert {k for r in proc_rows for k in r} == {k for r in sim_rows for k in r}
         assert set(sim_rows[0]) >= set(LIVE_COUNTERS) | set(LIVE_GAUGES)

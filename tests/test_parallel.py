@@ -1,15 +1,14 @@
 """Process-backend parity matrix and crash behaviour.
 
 ``executor="process"`` must be a pure execution-substrate change: for
-every workload × worker count × partitioner × transport, a process
-run's result data, per-channel traffic (net/local bytes and message
-counts), and superstep/round/byte/message totals are asserted
-**bit-identical** to the simulated run's.  Both frame transports —
-shared-memory ring buffers (``"shm"``, the default) and OS pipes
-(``"pipe"``) — must meet the same bar.  A dying worker process must
-surface as a clean :class:`WorkerProcessError`, never a hang, on either
-transport, including a death while peers sit blocked *inside* a ring
-write.
+every workload × worker count × partitioner, a process run's result
+data, per-channel traffic (net/local bytes and message counts), and
+superstep/round/byte/message totals are asserted **bit-identical** to
+the simulated run's.  One worker is part of the matrix: it runs the
+same superstep loop with no rings at all.  A dying worker process must
+surface as a clean :class:`WorkerProcessError`, never a hang, including
+a death while peers sit spinning on a full ring; and workers must die
+with a parent that is killed outright, leaking no shared memory.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ from repro.graph import rmat
 from repro.graph.partition import hash_partition, range_partition
 from repro.runtime.parallel import WorkerProcessError
 
-WORKERS = [2, 8]
+WORKERS = [1, 2, 8]
 PARTITIONERS = ["hash", "range"]
-TRANSPORTS = ["shm", "pipe"]
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +60,9 @@ def _assert_identical(sim_out, proc_out):
     assert ms.total_messages == mp_.total_messages
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("partitioner", PARTITIONERS)
 @pytest.mark.parametrize("workers", WORKERS)
-def test_pagerank_scatter_parity(directed_graph, workers, partitioner, transport):
+def test_pagerank_scatter_parity(directed_graph, workers, partitioner):
     kw = dict(
         variant="scatter",
         iterations=8,
@@ -75,14 +72,13 @@ def test_pagerank_scatter_parity(directed_graph, workers, partitioner, transport
     )
     _assert_identical(
         run_pagerank(directed_graph, **kw),
-        run_pagerank(directed_graph, executor="process", transport=transport, **kw),
+        run_pagerank(directed_graph, executor="process", **kw),
     )
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("partitioner", PARTITIONERS)
 @pytest.mark.parametrize("workers", WORKERS)
-def test_wcc_parity(directed_graph, workers, partitioner, transport):
+def test_wcc_parity(directed_graph, workers, partitioner):
     kw = dict(
         mode="bulk",
         num_workers=workers,
@@ -90,14 +86,13 @@ def test_wcc_parity(directed_graph, workers, partitioner, transport):
     )
     _assert_identical(
         run_wcc(directed_graph, **kw),
-        run_wcc(directed_graph, executor="process", transport=transport, **kw),
+        run_wcc(directed_graph, executor="process", **kw),
     )
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("partitioner", PARTITIONERS)
 @pytest.mark.parametrize("workers", WORKERS)
-def test_sssp_parity(weighted_graph, workers, partitioner, transport):
+def test_sssp_parity(weighted_graph, workers, partitioner):
     kw = dict(
         source=3,
         num_workers=workers,
@@ -105,7 +100,7 @@ def test_sssp_parity(weighted_graph, workers, partitioner, transport):
     )
     _assert_identical(
         run_sssp(weighted_graph, **kw),
-        run_sssp(weighted_graph, executor="process", transport=transport, **kw),
+        run_sssp(weighted_graph, executor="process", **kw),
     )
 
 
@@ -171,32 +166,6 @@ class TestEngineIntegration:
     def test_unknown_executor_rejected(self, directed_graph):
         with pytest.raises(ValueError, match="executor"):
             ChannelEngine(directed_graph, object, executor="threads")
-
-    def test_bad_transport_options_rejected(self, directed_graph):
-        with pytest.raises(ValueError, match="transport"):
-            ChannelEngine(
-                directed_graph, object, executor="process", transport="tcp"
-            )
-        # transport is a process-executor knob; sim has no frame plane
-        with pytest.raises(ValueError, match="transport"):
-            ChannelEngine(directed_graph, object, transport="shm")
-
-    def test_pool_transport_mismatch_rejected(self, directed_graph):
-        from repro.runtime.parallel import WorkerPool
-
-        pool = WorkerPool(2, transport="pipe")
-        try:
-            with pytest.raises(ValueError, match="transport"):
-                ChannelEngine(
-                    directed_graph,
-                    object,
-                    num_workers=2,
-                    executor="process",
-                    transport="shm",
-                    pool=pool,
-                )
-        finally:
-            pool.shutdown()
 
     def test_second_run_is_noop_like_sim(self, directed_graph):
         # the persistent pool keeps worker state alive between runs, so a
@@ -333,8 +302,8 @@ class _CrashInExchange(_DieInExchange):
 
 class _RingFloodBombChannel(_HardBombChannel):
     """Big enough frames that with a deliberately tiny ring every survivor
-    is blocked *inside* ``RingBuffer.write_all`` (full outbound ring, dead
-    consumer) at the moment worker 1 exits."""
+    is spinning in its frame pump (full outbound ring, dead consumer) at
+    the moment worker 1 exits."""
 
     frame_bytes = 64 * 1024
 
@@ -344,32 +313,27 @@ class _CrashInRingWrite(_DieInExchange):
 
 
 class TestCrashHandling:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_worker_process_death_surfaces_cleanly(self, directed_graph, transport):
+    def test_worker_process_death_surfaces_cleanly(self, directed_graph):
         engine = ChannelEngine(
             directed_graph,
             _DieAtSuperstep2,
             num_workers=4,
             executor="process",
-            transport=transport,
         )
         with pytest.raises(WorkerProcessError, match=r"worker process 1 died"):
             engine.run()
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_child_exception_carries_traceback(self, directed_graph, transport):
+    def test_child_exception_carries_traceback(self, directed_graph):
         engine = ChannelEngine(
             directed_graph,
             _RaiseAtSuperstep2,
             num_workers=4,
             executor="process",
-            transport=transport,
         )
         with pytest.raises(WorkerProcessError, match="deliberate child failure"):
             engine.run()
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_hard_death_mid_exchange_round_no_hang(self, directed_graph, transport):
+    def test_hard_death_mid_exchange_round_no_hang(self, directed_graph):
         # worker 1 exits inside channel.serialize while its peers block on
         # its frames; supervision must notice the dead process and abort
         # instead of waiting on a reply that can never come
@@ -378,17 +342,13 @@ class TestCrashHandling:
             _CrashInExchange,
             num_workers=4,
             executor="process",
-            transport=transport,
         )
         with pytest.raises(
             WorkerProcessError, match=r"worker process 1 died \(exit code 7\)"
         ):
             engine.run()
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_exception_mid_exchange_round_keeps_traceback(
-        self, directed_graph, transport
-    ):
+    def test_exception_mid_exchange_round_keeps_traceback(self, directed_graph):
         # the dying worker ships its traceback and exits before the parent
         # gets around to reading it; the supervisor must scavenge the
         # buffered error so the cause isn't flattened to "died (exit 0)"
@@ -397,21 +357,20 @@ class TestCrashHandling:
             _DieInExchange,
             num_workers=4,
             executor="process",
-            transport=transport,
         )
         with pytest.raises(WorkerProcessError, match="boom in serialize"):
             engine.run()
 
     def test_hard_death_with_peers_blocked_in_ring_write(self, directed_graph):
-        # the shm-specific worst case: each survivor's 64 KiB frames are
-        # 64x the 1 KiB rings, so when worker 1 exits its peers are parked
-        # inside RingBuffer.write_all with full outbound rings and a
-        # consumer that will never drain them.  Workers carry no liveness
+        # the ring worst case: each survivor's 64 KiB frames are 64x the
+        # 1 KiB rings, so when worker 1 exits its peers are parked in the
+        # frame pump with full outbound rings and a consumer that will
+        # never drain them.  Workers carry no liveness
         # checks — the parent must notice the death on the control pipes,
         # raise, and terminate the blocked children at shutdown.
         from repro.runtime.parallel import WorkerPool
 
-        pool = WorkerPool(4, transport="shm", ring_capacity=1024)
+        pool = WorkerPool(4, ring_capacity=1024)
         engine = ChannelEngine(
             directed_graph,
             _CrashInRingWrite,
@@ -440,3 +399,96 @@ class TestCrashHandling:
         assert all(not p.is_alive() for p in pool._state.procs)
         with pytest.raises(WorkerProcessError, match="shut down"):
             engine.run()
+
+
+_ORPHAN_CHILD = """
+import json, sys, threading, time
+from repro.core import ChannelEngine, VertexProgram
+from repro.graph import rmat
+from repro.runtime.parallel import WorkerPool
+
+
+class Forever(VertexProgram):
+    def compute(self, v):
+        if v.id == 0:
+            time.sleep(0.01)  # a slow, never-ending run
+
+
+pool = WorkerPool(2)
+engine = ChannelEngine(
+    rmat(6, edge_factor=4, seed=1), Forever, num_workers=2,
+    executor="process", pool=pool,
+)
+
+
+def report():
+    while pool.generation is None:
+        time.sleep(0.01)
+    state = pool._state
+    segments = [ring.spec["name"] for ring in state.rings.values()]
+    segments.append(state.votes.spec["name"])
+    segments.extend(seg.name for seg in state.export._segments)
+    print(json.dumps({"pids": [p.pid for p in state.procs],
+                      "segments": segments}), flush=True)
+
+
+threading.Thread(target=report, daemon=True).start()
+engine.run(max_supersteps=10**9)
+"""
+
+
+def _pid_gone(pid):
+    # a dead worker reparented to an init that never reaps it lingers as
+    # a zombie: it holds no memory or mappings, so it counts as gone
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_workers_die_with_a_killed_parent():
+    # SIGKILL gives the parent no chance to run any cleanup: the workers
+    # must die anyway, and with them gone the resource tracker unlinks
+    # every segment the run created
+    import json
+    import signal
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_CHILD],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+        text=True,
+    )
+    try:
+        info = json.loads(child.stdout.readline())
+        time.sleep(0.3)  # let a few supersteps run
+        assert child.poll() is None, "the run ended before it was killed"
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=10)
+    pids, segments = info["pids"], info["segments"]
+    assert len(pids) == 2 and len(segments) >= 4
+
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        alive = [p for p in pids if not _pid_gone(p)]
+        leaked = [s for s in segments if os.path.exists(f"/dev/shm/{s}")]
+        if not alive and not leaked:
+            break
+        time.sleep(0.1)
+    for pid in alive:  # don't leave orphans behind a failing run
+        os.kill(pid, signal.SIGKILL)
+    assert not alive, f"worker processes outlived their parent: {alive}"
+    assert not leaked, f"shared-memory segments leaked: {leaked}"

@@ -7,7 +7,7 @@ Pins the tentpole claims of :mod:`repro.runtime.rebalance`:
   all-zero timings) never migrate, and the greedy balancer's output is
   its own fixed point;
 * migration correctness — the parity matrix {PageRank-scatter, WCC,
-  SSSP} × {sim, process×{shm,pipe}} × {2, 8} workers: a fired
+  SSSP} × {sim, process} × {2, 8} workers: a fired
   superstep-trigger migration reproduces the rebalance-off run's data
   (bit-identical for MIN-combiner workloads, allclose for PageRank,
   whose aggregator regroups float partials), and every backend produces
@@ -229,12 +229,10 @@ class TestPlumbing:
 # ---------------------------------------------------------------------------
 # the parity matrix: superstep-trigger migrations across backends
 # ---------------------------------------------------------------------------
-def _run(name, *, workers, partition, executor=None, transport=None, **kw):
+def _run(name, *, workers, partition, executor=None, **kw):
     graph, runner = WORKLOADS[name]
     if executor is not None:
         kw["executor"] = executor
-    if transport is not None:
-        kw["transport"] = transport
     return runner(graph, num_workers=workers, partition=partition.copy(), **kw)
 
 
@@ -269,7 +267,7 @@ def _test_policy(workers: int) -> RebalancePolicy:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_superstep_migration_parity(name, workers):
     """Planted skew fires on every backend; data matches rebalance-off,
-    and sim / process-shm / process-pipe are bit-identical to each other
+    and sim / process are bit-identical to each other
     (data, traffic, and migration counters)."""
     graph, _ = WORKLOADS[name]
     skew = planted_skew(graph.num_vertices, workers)
@@ -292,17 +290,11 @@ def test_superstep_migration_parity(name, workers):
         np.testing.assert_array_equal(sim[0], off[0])
         assert sim[-1].data == off[-1].data
 
-    for transport in ("shm", "pipe"):
-        reb_kw["rebalance_policy"] = _test_policy(workers)
-        proc = _run(
-            name,
-            workers=workers,
-            partition=skew,
-            executor="process",
-            transport=transport,
-            **reb_kw,
-        )
-        _assert_same_run(sim, proc)
+    reb_kw["rebalance_policy"] = _test_policy(workers)
+    proc = _run(
+        name, workers=workers, partition=skew, executor="process", **reb_kw
+    )
+    _assert_same_run(sim, proc)
 
 
 @pytest.mark.parametrize("workers", WORKERS)

@@ -9,7 +9,7 @@ in a worker process.  This file pins that contract from every side:
   chunked edge-list loader, yields byte-identical ``csr_arrays()``;
 * algorithm parity — PageRank / WCC / SSSP produce identical results,
   traffic, and counters over memory and mmap stores on the simulated
-  and process backends (both transports), i.e. attach-by-path is
+  and process backends, i.e. attach-by-path is
   indistinguishable from copy-into-shm;
 * composition — DeltaGraph / EpochEngine run over an mmap base without
   ever writing to it (overlay appends only; the store files stay
@@ -320,7 +320,7 @@ class TestDegreePartition:
 
 
 # ---------------------------------------------------------------------------
-# algorithm parity: memory vs mmap x sim vs process x pipe vs shm
+# algorithm parity: memory vs mmap x sim vs process
 # ---------------------------------------------------------------------------
 _ALGOS = {
     "pagerank": lambda g, **kw: run_pagerank(
@@ -348,17 +348,14 @@ class TestAlgorithmParity:
             run(mem, num_workers=2), run(mapped, num_workers=2)
         )
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_process_over_mmap_matches_sim(self, algo, transport, weighted_pair):
+    def test_process_over_mmap_matches_sim(self, algo, weighted_pair):
         """The executor attaches the store by path (no shm copy of the
         graph) and still reproduces the simulated run bit for bit."""
         mem, mapped = weighted_pair
         assert mapped.store.describe()["kind"] == "mmap"
         run = _ALGOS[algo]
         sim = run(mem, num_workers=2)
-        proc = run(
-            mapped, num_workers=2, executor="process", transport=transport
-        )
+        proc = run(mapped, num_workers=2, executor="process")
         _assert_identical_runs(sim, proc)
 
 
