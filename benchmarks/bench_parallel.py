@@ -69,7 +69,7 @@ def _identical(a, b) -> bool:
     ma, mb = a[-1].metrics, b[-1].metrics
     return bool(
         same_data
-        and a[-1].data == b[-1].data
+        and np.array_equal(a[-1].data, b[-1].data)
         and ma.channel_breakdown() == mb.channel_breakdown()
         and ma.supersteps == mb.supersteps
         and ma.total_rounds == mb.total_rounds
@@ -214,7 +214,9 @@ def bench_amortization(
         rows[1]["wall_s"] / max(rows[0]["wall_s"], 1e-9), 2
     )
     rows[1]["amortization_speedup"] = 1.0  # the baseline, by definition
-    rows[0]["identical"] = rows[1]["identical"] = results[True] == results[False]
+    rows[0]["identical"] = rows[1]["identical"] = len(results[True]) == len(
+        results[False]
+    ) and all(map(np.array_equal, results[True], results[False]))
     return rows
 
 

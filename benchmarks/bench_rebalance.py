@@ -211,7 +211,8 @@ def bench_epoch(graph, num_workers: int, epochs: int, seed: int) -> dict:
         "gain_ratio": gain,
         "gain_ok": gain >= 1.3,
         "identical": all(
-            a.result.data == b.result.data for a, b in zip(off.history, reb.history)
+            np.array_equal(a.result.data, b.result.data)
+            for a, b in zip(off.history, reb.history)
         ),
         "no_false_fire": sum(
             e.result.metrics.num_rebalances for e in bal_eng.history

@@ -50,13 +50,9 @@ WORKLOADS = {
 
 
 def _identical(a, b) -> bool:
-    da, db = a[0], b[0]
-    same_data = (
-        np.array_equal(da, db) if isinstance(da, np.ndarray) else da == db
-    )
     ma, mb = a[-1].metrics, b[-1].metrics
     return bool(
-        same_data
+        np.array_equal(a[-1].data, b[-1].data)
         and ma.total_messages == mb.total_messages
         and ma.total_net_bytes == mb.total_net_bytes
         and ma.supersteps == mb.supersteps

@@ -72,7 +72,7 @@ def _identical(a, b) -> bool:
     ma, mb = a[-1].metrics, b[-1].metrics
     return bool(
         same_data
-        and a[-1].data == b[-1].data
+        and np.array_equal(a[-1].data, b[-1].data)
         and ma.channel_breakdown() == mb.channel_breakdown()
         and ma.supersteps == mb.supersteps
         and ma.total_rounds == mb.total_rounds

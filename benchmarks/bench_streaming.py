@@ -95,8 +95,8 @@ def bench_cell(
             bytes_total[mode] += epoch.result.metrics.total_net_bytes
             steps_total[mode] += epoch.result.metrics.supersteps
             results[mode] = epoch
-        identical = identical and (
-            results["incremental"].data == results["full"].data
+        identical = identical and np.array_equal(
+            results["incremental"].data, results["full"].data
         )
         affected += results["incremental"].affected
 

@@ -127,17 +127,22 @@ class PageRankTopK(VertexProgram):
             v.vote_to_halt()
 
     def finalize(self):
-        return {f"top{self.worker.worker_id}": self.topk.result()}
+        return self.rank
 
 
 def main():
     graph = rmat(11, edge_factor=8, seed=5)
     print(f"input: {graph}\n")
-    result = ChannelEngine(graph, PageRankTopK, num_workers=8).run()
+    engine = ChannelEngine(graph, PageRankTopK, num_workers=8)
+    result = engine.run()
 
-    # every worker holds the same broadcast top-k
-    tops = [v for v in result.data.values() if v]
+    # every worker holds the same broadcast top-k, and it ranks the same
+    # vertices as sorting the run's result.data (one rank per vertex)
+    tops = [worker.program.topk.result() for worker in engine.workers]
     assert all(t == tops[0] for t in tops)
+    assert {vid for vid, _ in tops[0]} == set(
+        np.argsort(-result.data, kind="stable")[: PageRankTopK.K].tolist()
+    )
     print(f"global top-{PageRankTopK.K} PageRank vertices (via the custom channel):")
     for vid, score in tops[0]:
         print(f"  vertex {vid:6d}   rank {score:.6f}")

@@ -50,7 +50,8 @@ class PageRank(VertexProgram):
             v.vote_to_halt()
 
     def finalize(self):
-        return {int(g): self.rank[i] for i, g in enumerate(self.worker.local_ids)}
+        # one row per local vertex; the engine places it at global ids
+        return self.rank
 
 
 class PageRankScatter(PageRank):
@@ -95,14 +96,14 @@ def main():
             f"supersteps {m.supersteps}"
         )
 
-    # identical ranks either way
+    # identical ranks either way; result.data[v] is vertex v's rank
     basic = results["basic"].data
     scatter = results["scatter-combine"].data
-    worst = max(abs(basic[v] - scatter[v]) for v in basic)
+    worst = np.abs(basic - scatter).max()
     print(f"max |rank difference| between variants: {worst:.2e}")
 
-    top = sorted(basic.items(), key=lambda kv: -kv[1])[:5]
-    print("top-5 vertices:", ", ".join(f"{v} ({r:.5f})" for v, r in top))
+    top = np.argsort(-basic, kind="stable")[:5]
+    print("top-5 vertices:", ", ".join(f"{v} ({basic[v]:.5f})" for v in top))
 
 
 if __name__ == "__main__":

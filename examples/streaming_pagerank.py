@@ -49,8 +49,7 @@ for batch in synthesize_stream(graph, 3, 20, 20, seed=7):
         partition=engine.owner,
     )
     ids = np.arange(engine.graph.num_vertices)
-    refreshed = np.array([epoch.data[v] for v in ids])
-    assert np.array_equal(refreshed, cold_ranks), "refresh must be bit-identical"
+    assert np.array_equal(epoch.data[ids], cold_ranks), "refresh must be bit-identical"
 
     print(
         f"epoch {epoch.epoch}: batch={epoch.batch_size} mutations, "

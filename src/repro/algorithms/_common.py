@@ -30,11 +30,10 @@ def resolve_mode(variants: dict, variant: str, mode: str):
 
 
 def gather(result: EngineResult, n: int, dtype=np.int64) -> np.ndarray:
-    """Turn ``result.data`` (global id -> value) into a dense array."""
-    out = np.empty(n, dtype=dtype)
-    for vid, val in result.data.items():
-        out[vid] = val
-    return out
+    """A ``dtype`` copy of ``result.data``, checked to hold ``n`` rows."""
+    if result.data is None or len(result.data) != n:
+        raise ValueError(f"result.data does not hold {n} per-vertex rows")
+    return result.data.astype(dtype)
 
 
 def run_engine(engine_cls, graph, program, **kwargs):

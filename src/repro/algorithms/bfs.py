@@ -52,8 +52,8 @@ class BFSBasic(VertexProgram):
                 self._settle(v, m)
         v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.level[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.level
 
 
 class BFSBasicBulk(BulkVertexProgram):
@@ -88,8 +88,8 @@ class BFSBasicBulk(BulkVertexProgram):
             self.msg.send_messages(dsts, np.repeat(levels + 1, adj.degrees[settled]))
         worker.halt_bulk(active)
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.level[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.level
 
 
 class BFSPropagation(VertexProgram):
@@ -114,8 +114,8 @@ class BFSPropagation(VertexProgram):
             self.level[v.local] = self.prop.get_value(v)
             v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.level[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.level
 
 
 _VARIANTS = {

@@ -70,8 +70,8 @@ class KCore(VertexProgram):
                 self._broadcast(v, est)
         v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.core[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.core
 
 
 def run_kcore(graph: Graph, **engine_kwargs):

@@ -52,8 +52,8 @@ class LabelPropagation(VertexProgram):
         else:
             v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.label[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.label
 
 
 def run_lpa(graph: Graph, rounds: int = 10, **engine_kwargs):

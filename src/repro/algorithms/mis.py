@@ -84,8 +84,8 @@ class LubyMIS(VertexProgram):
                 v.vote_to_halt()
             # else: stay undecided; remain active for the next propose
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.state[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.state
 
 
 def run_mis(graph: Graph, seed: int = 0, **engine_kwargs):

@@ -50,6 +50,21 @@ EDGE_CODEC = struct_codec(
 #: relabel replies carry (queried component, its new root)
 PAIR_I32 = pair_codec(INT32, INT32, name="msf_pair")
 
+#: per-vertex result row: the forest edge ``(ou, ov, w)`` a vertex adds
+#: when it is absorbed as a fragment root (``NO_EDGE`` if it adds none)
+NO_EDGE = np.array((-1, -1, 0.0), dtype=[("ou", "i8"), ("ov", "i8"), ("w", "f8")])
+
+
+def add_forest_edge(forest: np.ndarray, i: int, edge: tuple) -> None:
+    assert forest["ou"][i] < 0, "a vertex is absorbed at most once"
+    forest[i] = edge[:3]
+
+
+def forest_edges(data: np.ndarray) -> tuple[list[tuple], float]:
+    """``(forest_edges, total_weight)`` from an MSF run's ``result.data``."""
+    rows = data[data["ou"] >= 0]
+    return rows.tolist(), float(rows["w"].sum())
+
 
 def _edge_key(w: float, ou: int, ov: int) -> tuple:
     """Total order over edges: weight, then normalized original endpoints.
@@ -85,7 +100,7 @@ class MSFBasic(VertexProgram):
         self.edges: list[list[tuple]] = [[] for _ in range(n)]  # (ou, ov, w, dst)
         self.pending_pick: list[tuple | None] = [None] * n
         self.jdone = np.zeros(n, dtype=bool)
-        self.forest: list[tuple] = []  # (ou, ov, w)
+        self.forest = np.full(n, NO_EDGE)
         self.state = "init"
 
     # -- controller (runs identically on every worker) ---------------------
@@ -197,7 +212,7 @@ class MSFBasic(VertexProgram):
             # records our shared minimum edge
             self.D[i] = v.id
         else:
-            self.forest.append((best[0], best[1], best[2]))
+            add_forest_edge(self.forest, i, best)
 
     def _phase_jump_send(self, v: Vertex) -> None:
         i = v.local
@@ -248,12 +263,8 @@ class MSFBasic(VertexProgram):
         self.agg.add(shipped)
         v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        total = sum(w for _, _, w in self.forest)
-        return {
-            f"forest_{self.worker.worker_id}": list(self.forest),
-            f"weight_{self.worker.worker_id}": total,
-        }
+    def finalize(self) -> np.ndarray:
+        return self.forest
 
 
 def run_msf(graph: Graph, **engine_kwargs):
@@ -264,11 +275,4 @@ def run_msf(graph: Graph, **engine_kwargs):
     if graph.directed:
         raise ValueError("MSF needs an undirected graph")
     result = ChannelEngine(graph, MSFBasic, **engine_kwargs).run()
-    forest: list[tuple] = []
-    weight = 0.0
-    for key, val in result.data.items():
-        if str(key).startswith("forest_"):
-            forest.extend(val)
-        elif str(key).startswith("weight_"):
-            weight += val
-    return forest, weight, result
+    return (*forest_edges(result.data), result)

@@ -87,11 +87,8 @@ class _PageRankBase(VertexProgram):
         else:
             v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {
-            int(g): float(self.rank[i])
-            for i, g in enumerate(self.worker.local_ids)
-        }
+    def finalize(self) -> np.ndarray:
+        return self.rank
 
 
 class PageRankBasic(_PageRankBase):
@@ -190,11 +187,8 @@ class _PageRankBulkBase(BulkVertexProgram):
         else:
             worker.halt_bulk(active)
 
-    def finalize(self) -> dict:
-        return {
-            int(g): float(self.rank[i])
-            for i, g in enumerate(self.worker.local_ids)
-        }
+    def finalize(self) -> np.ndarray:
+        return self.rank
 
 
 class PageRankBasicBulk(_PageRankBulkBase):

@@ -74,8 +74,8 @@ class PointerJumpingBasic(VertexProgram):
                 self.D[i] = gp
                 self.req.send_message(gp, v.id)
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.D[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.D
 
 
 class PointerJumpingReqResp(VertexProgram):
@@ -108,8 +108,8 @@ class PointerJumpingReqResp(VertexProgram):
             self.D[i] = gp
             self.rr.add_request(v, gp)
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.D[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.D
 
 
 def run_pointer_jumping(graph: Graph, variant: str = "basic", **engine_kwargs):

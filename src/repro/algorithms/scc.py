@@ -85,8 +85,8 @@ class _SCCBase(VertexProgram):
             return False
         return True
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.scc[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.scc
 
 
 class SCCBasic(_SCCBase):

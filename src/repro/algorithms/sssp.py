@@ -68,8 +68,8 @@ class SSSPBasic(VertexProgram):
                 self._relax(v, m)
         v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {int(g): float(self.dist[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.dist
 
 
 class SSSPBasicBulk(BulkVertexProgram):
@@ -107,8 +107,8 @@ class SSSPBasicBulk(BulkVertexProgram):
             )
         worker.halt_bulk(active)
 
-    def finalize(self) -> dict:
-        return {int(g): float(self.dist[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.dist
 
 
 class SSSPPropagation(VertexProgram):
@@ -130,8 +130,8 @@ class SSSPPropagation(VertexProgram):
             self.dist[v.local] = self.prop.get_value(v)
             v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {int(g): float(self.dist[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.dist
 
 
 _VARIANTS = {

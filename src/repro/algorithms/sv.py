@@ -167,8 +167,8 @@ class _SVBase(VertexProgram):
             else:
                 self._apply_updates(v)
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.D[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.D
 
 
 def make_sv_program(use_reqresp: bool = False, use_scatter: bool = False):

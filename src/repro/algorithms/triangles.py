@@ -67,8 +67,8 @@ class TriangleCounting(VertexProgram):
         if self.worker.step_num in (1, 2):
             self.worker.activate_local_bulk(np.arange(self.worker.num_local))
 
-    def finalize(self) -> dict:
-        return {f"triangles_{self.worker.worker_id}": self.total}
+    def finalize(self) -> np.ndarray:
+        return np.full(self.worker.num_local, self.total)
 
 
 def run_triangles(graph: Graph, **engine_kwargs):
@@ -76,6 +76,6 @@ def run_triangles(graph: Graph, **engine_kwargs):
     if graph.directed:
         raise ValueError("triangle counting expects an undirected graph")
     result = ChannelEngine(graph, TriangleCounting, **engine_kwargs).run()
-    counts = {v for k, v in result.data.items() if str(k).startswith("triangles_")}
-    assert len(counts) == 1, "aggregator must broadcast one global count"
-    return counts.pop(), result
+    counts = np.unique(result.data)
+    assert counts.size == 1, "aggregator must broadcast one global count"
+    return int(counts[0]), result

@@ -64,8 +64,8 @@ class WCCBasic(VertexProgram):
             send(int(e), new)
         v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.label[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.label
 
 
 class WCCBasicBulk(BulkVertexProgram):
@@ -100,8 +100,8 @@ class WCCBasicBulk(BulkVertexProgram):
             self.msg.send_messages(dsts, np.repeat(new, adj.degrees[senders]))
         worker.halt_bulk(active)
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.label[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.label
 
 
 class WCCPropagation(VertexProgram):
@@ -121,8 +121,8 @@ class WCCPropagation(VertexProgram):
             self.label[v.local] = self.prop.get_value(v)
             v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.label[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.label
 
 
 _VARIANTS = {

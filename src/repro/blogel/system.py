@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.engine import EngineResult
+from repro.core.engine import EngineResult, scatter_results
 from repro.graph.graph import Graph
 from repro.graph.partition import hash_partition
 from repro.runtime.buffers import BufferExchange, WorkerBuffers
@@ -56,8 +56,8 @@ class BlockProgram:
         """
         raise NotImplementedError
 
-    def finalize(self) -> dict:
-        return {}
+    def finalize(self) -> np.ndarray | None:
+        return None
 
 
 class BlogelEngine:
@@ -130,10 +130,8 @@ class BlogelEngine:
             metrics.end_superstep()
 
         metrics.end_run()
-        result = EngineResult(metrics=metrics)
-        for block in self.blocks:
-            result.data.update(block.finalize())
-        return result
+        parts = ((block.local_ids, block.finalize()) for block in self.blocks)
+        return EngineResult(scatter_results(self.graph.num_vertices, parts), metrics)
 
     def _serialize(self, w: int, messages: list[tuple[int, object]]) -> None:
         if not messages:

@@ -112,8 +112,8 @@ class BlogelWCC(BlockProgram):
         boundary = self._propagate(frontier)
         return [(d, int(l)) for d, l in boundary.items()]
 
-    def finalize(self) -> dict:
-        return {int(g): int(l) for g, l in zip(self.local_ids, self.labels)}
+    def finalize(self) -> np.ndarray:
+        return self.labels
 
 
 def run_wcc_blogel(graph: Graph, **engine_kwargs):

@@ -23,8 +23,8 @@ network time are accumulated into the run's
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.runtime.costmodel import NetworkModel, DEFAULT_NETWORK
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.rebalance import REBALANCE_MODES, RebalancePolicy
 
-__all__ = ["ChannelEngine", "EngineResult"]
+__all__ = ["ChannelEngine", "EngineResult", "scatter_results"]
 
 #: recognised ``recovery`` modes (see :mod:`repro.core.recovery`)
 RECOVERY_MODES = ("rollback", "confined")
@@ -55,9 +55,40 @@ EXECUTORS = ("sim", "process")
 _GENERATIONS = itertools.count(1)
 
 
+def scatter_results(
+    n: int, parts: Iterable[tuple[np.ndarray, np.ndarray | None]]
+) -> np.ndarray | None:
+    """Place each worker's ``(global_ids, finalize() rows)`` part into one
+    array of ``n`` rows (``None`` if every part is ``None``) — the result
+    collection of every engine.  ``ValueError`` if only some parts are
+    ``None``, a part's length is off, or non-empty parts differ in dtype
+    or row shape."""
+    parts = list(parts)
+    missing = sum(part is None for _, part in parts)
+    if missing == len(parts):
+        return None
+    if missing:
+        raise ValueError(f"{missing} of {len(parts)} finalize() parts are None")
+    for w, (ids, part) in enumerate(parts):
+        if part.shape[:1] != (len(ids),):
+            raise ValueError(f"worker {w}: shape {part.shape} for {len(ids)} vertices")
+    first = parts[0][1]
+    layouts = {(p.dtype, p.shape[1:]) for ids, p in parts if len(ids)}
+    if len(layouts) > 1:
+        raise ValueError(f"finalize() rows disagree: {sorted(map(str, layouts))}")
+    ((dtype, row),) = layouts or {(first.dtype, first.shape[1:])}
+    out = np.empty((n,) + row, dtype=dtype)
+    for ids, part in parts:
+        out[ids] = part
+    return out
+
+
 @dataclass
 class EngineResult:
     """Outcome of one engine run.
+
+    ``data`` row ``g`` is vertex ``g``'s ``finalize()`` row (``None``:
+    no per-vertex output; see :func:`scatter_results`).
 
     The pass-through properties mirror the most-used
     :class:`~repro.runtime.metrics.MetricsCollector` totals so callers
@@ -71,7 +102,7 @@ class EngineResult:
     ``result.metrics`` or handle ``None`` explicitly.
     """
 
-    data: dict = field(default_factory=dict)
+    data: np.ndarray | None = None
     metrics: MetricsCollector | None = None
     #: alerts the live monitor raised during the run (``None`` when the
     #: engine had no ``live=`` telemetry segment; see ARCHITECTURE.md §11)

@@ -114,11 +114,11 @@ class VertexProgram:
         ``self.worker.activate_local_bulk``.
         """
 
-    def finalize(self) -> dict:
-        """Called once after termination; return this worker's outputs
-        (merged across workers into :class:`EngineResult.data`).  Keys are
-        global vertex ids or named aggregates."""
-        return {}
+    def finalize(self) -> np.ndarray | None:
+        """Called once after termination; return one NumPy array with a row
+        per ``self.worker.local_ids`` entry (no object dtype on the process
+        executor), or ``None``.  Rows land in :class:`EngineResult.data`."""
+        return None
 
     # -- checkpointing ----------------------------------------------------
     def state_dict(self) -> dict:

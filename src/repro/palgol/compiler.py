@@ -176,9 +176,9 @@ def compile_palgol(
         def __init__(self, worker):
             super().__init__(worker)
             n = worker.num_local
-            self.fields = {
-                name: np.zeros(n, dtype=codecs[name].dtype) for name in spec.fields
-            }
+            self.fields = np.zeros(
+                n, dtype=[(name, codecs[name].dtype) for name in spec.fields]
+            )
             self._init_done = False
             self.changed = np.zeros(n, dtype=np.int64) if fixpoint else None
 
@@ -378,13 +378,8 @@ def compile_palgol(
             elif phase == "apply":
                 self._phase_apply(v)
 
-        def finalize(self) -> dict:
-            out: dict = {}
-            for i, g in enumerate(self.worker.local_ids):
-                out[int(g)] = {
-                    name: arr[i].item() for name, arr in self.fields.items()
-                }
-            return out
+        def finalize(self) -> np.ndarray:
+            return self.fields
 
     PalgolProgram.__name__ = f"Palgol_{spec.name}"
     PalgolProgram.__qualname__ = PalgolProgram.__name__
@@ -401,11 +396,4 @@ def run_palgol(
     """Compile and run a spec; returns ``({field: array}, EngineResult)``."""
     program = compile_palgol(spec, optimize=optimize, codecs=codecs)
     result = ChannelEngine(graph, program, **engine_kwargs).run()
-    fields = {
-        name: np.zeros(graph.num_vertices, dtype=(codecs or {}).get(name, INT64).dtype)
-        for name in spec.fields
-    }
-    for vid, values in result.data.items():
-        for name, val in values.items():
-            fields[name][vid] = val
-    return fields, result
+    return {name: result.data[name].copy() for name in spec.fields}, result

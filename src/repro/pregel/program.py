@@ -112,8 +112,8 @@ class PregelProgram:
     def respond_value(self, local_idx: int):  # pragma: no cover - overridden
         raise NotImplementedError("reqresp mode needs respond_value()")
 
-    def finalize(self) -> dict:
-        return {}
+    def finalize(self) -> np.ndarray | None:
+        return None
 
     # -- context ------------------------------------------------------------
     @property

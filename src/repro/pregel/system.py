@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.engine import EngineResult
+from repro.core.engine import EngineResult, scatter_results
 from repro.graph.graph import Graph
 from repro.graph.partition import hash_partition
 from repro.pregel.program import PregelProgram, PregelVertex
@@ -266,10 +266,8 @@ class PregelPlusEngine:
             metrics.end_superstep()
 
         metrics.end_run()
-        result = EngineResult(metrics=metrics)
-        for worker in self.workers:
-            result.data.update(worker.program.finalize())
-        return result
+        parts = ((w.local_ids, w.program.finalize()) for w in self.workers)
+        return EngineResult(scatter_results(self.graph.num_vertices, parts), metrics)
 
     # -- round 1 --------------------------------------------------------------
     def _serialize_round1(self, worker: _PregelWorker, has_agg: bool) -> None:

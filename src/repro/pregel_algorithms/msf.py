@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.msf import NO_EDGE, _edge_key, add_forest_edge, forest_edges
 from repro.core.combiner import SUM_I64
 from repro.graph.graph import Graph
 from repro.pregel import PregelPlusEngine, PregelProgram
@@ -38,10 +39,6 @@ TAGGED_EDGE = struct_codec(
 ) = range(7)
 
 
-def _edge_key(w: float, ou: int, ov: int) -> tuple:
-    return (w, min(ou, ov), max(ou, ov))
-
-
 class MSFPregel(PregelProgram):
     message_codec = TAGGED_EDGE
     combiner = None
@@ -54,7 +51,7 @@ class MSFPregel(PregelProgram):
         self.edges: list[list[tuple]] = [[] for _ in range(n)]
         self.pending_pick: list[tuple | None] = [None] * n
         self.jdone = np.zeros(n, dtype=bool)
-        self.forest: list[tuple] = []
+        self.forest = np.full(n, NO_EDGE)
         self.state = "init"
 
     # -- controller (identical to the channel version) ----------------------
@@ -164,7 +161,7 @@ class MSFPregel(PregelProgram):
         if dc == v.id and v.id < c:
             self.D[i] = v.id
         else:
-            self.forest.append((best[0], best[1], best[2]))
+            add_forest_edge(self.forest, i, best)
 
     def _phase_jump_send(self, v, msgs) -> None:
         i = v.local
@@ -200,12 +197,8 @@ class MSFPregel(PregelProgram):
         self.aggregate(shipped)
         v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        total = sum(w for _, _, w in self.forest)
-        return {
-            f"forest_{self.worker.worker_id}": list(self.forest),
-            f"weight_{self.worker.worker_id}": total,
-        }
+    def finalize(self) -> np.ndarray:
+        return self.forest
 
 
 def run_msf_pregel(graph: Graph, **engine_kwargs):
@@ -214,11 +207,4 @@ def run_msf_pregel(graph: Graph, **engine_kwargs):
     if graph.directed:
         raise ValueError("MSF needs an undirected graph")
     result = PregelPlusEngine(graph, MSFPregel, mode="basic", **engine_kwargs).run()
-    forest: list[tuple] = []
-    weight = 0.0
-    for key, val in result.data.items():
-        if str(key).startswith("forest_"):
-            forest.extend(val)
-        elif str(key).startswith("weight_"):
-            weight += val
-    return forest, weight, result
+    return (*forest_edges(result.data), result)

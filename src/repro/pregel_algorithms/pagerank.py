@@ -44,8 +44,8 @@ class PageRankPregel(PregelProgram):
         else:
             v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {int(g): float(self.rank[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.rank
 
 
 def run_pagerank_pregel(

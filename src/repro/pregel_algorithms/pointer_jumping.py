@@ -67,8 +67,8 @@ class PJPregelBasic(PregelProgram):
                     self.D[i] = gp
                     v.send_message(gp, v.id)
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.D[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.D
 
 
 class PJPregelReqResp(PregelProgram):
@@ -102,8 +102,8 @@ class PJPregelReqResp(PregelProgram):
             self.D[i] = gp
             v.request(gp)
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.D[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.D
 
 
 def run_pointer_jumping_pregel(graph: Graph, mode: str = "basic", **engine_kwargs):

@@ -132,8 +132,8 @@ class SCCPregel(PregelProgram):
         for e in self.worker.graph.in_neighbors(v.id):
             v.send_message(int(e), (TAG_BWD, label))
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.scc[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.scc
 
 
 def run_scc_pregel(graph: Graph, **engine_kwargs):

@@ -38,8 +38,8 @@ class SSSPPregel(PregelProgram):
             self._relax(v, float(messages))
         v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {int(g): float(self.dist[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.dist
 
 
 def run_sssp_pregel(graph: Graph, source: int = 0, **engine_kwargs):

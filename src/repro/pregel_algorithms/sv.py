@@ -73,8 +73,8 @@ class _SVPregelBase(PregelProgram):
             delta += 1
         self.aggregate(delta)
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.D[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.D
 
 
 class SVPregelBasic(_SVPregelBase):

@@ -48,8 +48,8 @@ class WCCPregel(PregelProgram):
             v.send_message(int(e), new)
         v.vote_to_halt()
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.label[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.label
 
 
 def run_wcc_pregel(graph: Graph, **engine_kwargs):

@@ -12,11 +12,12 @@ and checkpoint write time can be charged by the network cost model
 exactly like a buffer exchange.
 
 The value encoding is a small tagged binary format covering the state
-types programs and channels actually hold: NumPy arrays (any dtype,
-including structured codec dtypes), Python scalars, strings, bytes,
-``None``, and lists/tuples/dicts thereof.  It exists so that a snapshot
-is a *byte string*, not a web of live object references — restoring from
-it cannot accidentally share mutable state with the failed worker.
+types programs and channels actually hold: NumPy arrays (any dtype
+without object fields, including structured codec dtypes), Python
+scalars, strings, bytes, ``None``, and lists/tuples/dicts thereof.  It
+exists so that a snapshot is a *byte string*, not a web of live object
+references — restoring from it cannot accidentally share mutable state
+with the failed worker.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _write_value(w: BufferWriter, value) -> None:
         raw = bytes(value)
         w.write_scalar(len(raw), INT64)
         w.write_bytes(raw)
-    elif isinstance(value, np.ndarray):
+    elif isinstance(value, np.ndarray) and not value.dtype.hasobject:
         w.write_scalar(_ARRAY, UINT8)
         # descr round-trips structured dtypes (np.void scalars of the
         # struct codecs) which plain dtype.str would lose
@@ -109,10 +110,13 @@ def _write_value(w: BufferWriter, value) -> None:
         for key, item in value.items():
             _write_value(w, key)
             _write_value(w, item)
-    else:
+    else:  # object-dtype arrays too: their raw bytes are pointers
+        kind = type(value).__name__
+        if isinstance(value, np.ndarray):
+            kind += f" of dtype {value.dtype}"
         raise TypeError(
-            f"cannot checkpoint a value of type {type(value).__name__}; "
-            "supported state types are NumPy arrays, scalars, str, bytes, "
+            f"cannot checkpoint a value of type {kind}; supported state types "
+            "are NumPy arrays without object fields, scalars, str, bytes, "
             "None, and lists/tuples/dicts of those"
         )
 

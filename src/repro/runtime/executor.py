@@ -24,7 +24,7 @@ backend implements:
 ``recover``
     React to injected worker deaths with the requested recovery mode.
 ``collect_results``
-    Merge per-worker ``finalize()`` outputs after termination.
+    Scatter per-worker ``finalize()`` arrays into ``EngineResult.data``.
 
 Because checkpoint cadence, failure timing, frame-log bookkeeping, and
 termination live in the shared template, every fault-tolerance and
@@ -187,7 +187,7 @@ class ExecutorBackend:
         result = EngineResult(metrics=metrics)
         if engine.monitor is not None:
             result.live_alerts = list(engine.monitor.alerts)
-        result.data.update(self.collect_results())
+        result.data = self.collect_results()
         # wall_time is what the caller waits for: results in hand
         metrics.end_run()
         return result
@@ -261,7 +261,7 @@ class ExecutorBackend:
     def recover(self, doomed: list[int], mode: str) -> None:
         raise NotImplementedError
 
-    def collect_results(self) -> dict:
+    def collect_results(self) -> np.ndarray | None:
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -480,8 +480,8 @@ class SimBackend(ExecutorBackend):
             for writer in self._live_writers:
                 writer.mark()
 
-    def collect_results(self) -> dict:
-        data: dict = {}
-        for worker in self.engine.workers:
-            data.update(worker.program.finalize())
-        return data
+    def collect_results(self) -> np.ndarray | None:
+        from repro.core.engine import scatter_results
+
+        parts = ((w.local_ids, w.program.finalize()) for w in self.engine.workers)
+        return scatter_results(self.engine.graph.num_vertices, parts)

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.engine import scatter_results
 from repro.core.recovery import confined_recovery, rollback_recovery
 from repro.runtime.checkpoint import (
     capture_worker_state,
@@ -267,17 +268,19 @@ class ProcessBackend(ExecutorBackend):
                 )
             pool.gather("rollback restore")
 
-    def collect_results(self) -> dict:
+    def collect_results(self) -> np.ndarray | None:
         engine = self.engine
         pool = self.pool
         sync = engine.sync_state
         pool.broadcast({"cmd": "finalize", "sync": sync})
-        data: dict = {}
-        for w, reply in enumerate(pool.gather("finalize")):
-            data.update(reply["data"])
-            if sync:
+        replies = pool.gather("finalize")
+        if sync:
+            for w, reply in enumerate(replies):
                 self._restore_worker(w, reply["state"])
-        return data
+        # by the ownership the children ran on (current after migrations)
+        owned = (np.flatnonzero(engine.owner == w) for w in range(len(replies)))
+        data = (reply["data"] for reply in replies)
+        return scatter_results(engine.graph.num_vertices, zip(owned, data))
 
     def shutdown(self) -> None:
         if self.owns_pool:

@@ -26,9 +26,9 @@ Run-loop command (one per superstep):
     superstep costs O(1) control-pipe messages per worker; see
     ARCHITECTURE.md §9.
 ``finalize``
-    Ship ``program.finalize()`` — and, when state sync is requested, the
-    full per-worker state in the checkpoint layer's capture format —
-    back to the parent through the tagged-binary codec.
+    Ship the ``program.finalize()`` array — and, when state sync is
+    requested, the full per-worker state in the checkpoint layer's
+    capture format — back to the parent through the tagged-binary codec.
 
 Lifecycle commands (how a pool outlives any single engine):
 

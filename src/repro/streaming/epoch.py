@@ -51,7 +51,7 @@ class EpochResult:
     meta: dict = field(default_factory=dict)
 
     @property
-    def data(self) -> dict:
+    def data(self) -> np.ndarray | None:
         return self.result.data
 
     def summary(self) -> dict:

@@ -220,16 +220,13 @@ class PageRankIncrementalBulk(BulkVertexProgram):
                 self.agg.add_bulk(self.rank[self._dead])
         worker.halt_bulk(active)
 
-    def finalize(self) -> dict:
+    def finalize(self) -> np.ndarray:
         # NOT self.rank: a worker whose last scheduled participation was
         # as a sender (or dead-end aggregator) at some step k <= T holds
         # rank_k there — new_hist[T+1] is right for idle and active
         # workers alike (history baseline for clean rows, recomputed
         # values where this worker was dirty at the final step)
-        final = self.new_hist[self.iterations + 1]
-        return {
-            int(g): float(final[i]) for i, g in enumerate(self.worker.local_ids)
-        }
+        return self.new_hist[self.iterations + 1]
 
 
 class PageRankStream(StreamAlgorithm):

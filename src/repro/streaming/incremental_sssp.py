@@ -82,8 +82,8 @@ class SSSPIncrementalBulk(BulkVertexProgram):
             self.msg.send_messages(dsts, vals)
         worker.halt_bulk(active)
 
-    def finalize(self) -> dict:
-        return {int(g): float(self.dist[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.dist
 
 
 def invalidated_by_deletions(
@@ -174,10 +174,7 @@ class SSSPStream(StreamAlgorithm):
         )
 
     def collect(self, engine, result) -> dict:
-        dist = np.full(engine.graph.num_vertices, np.inf)
-        for v, d in result.data.items():
-            dist[v] = d
-        return {"dist": dist}
+        return {"dist": result.data.astype(np.float64)}
 
     def cold_run(self, graph: Graph, num_workers: int, partition: np.ndarray):
         return run_sssp(

@@ -70,8 +70,8 @@ class WCCIncrementalBulk(BulkVertexProgram):
             self.msg.send_messages(dsts, np.repeat(new, adj.degrees[senders]))
         worker.halt_bulk(active)
 
-    def finalize(self) -> dict:
-        return {int(g): int(self.label[i]) for i, g in enumerate(self.worker.local_ids)}
+    def finalize(self) -> np.ndarray:
+        return self.label
 
 
 def still_connected(graph: Graph, u: int, v: int, cap: int) -> bool:
@@ -163,10 +163,7 @@ class WCCStream(StreamAlgorithm):
         )
 
     def collect(self, engine, result) -> dict:
-        labels = np.zeros(engine.graph.num_vertices, dtype=np.int64)
-        for v, lab in result.data.items():
-            labels[v] = lab
-        return {"labels": labels}
+        return {"labels": result.data.astype(np.int64)}
 
     def cold_run(self, graph: Graph, num_workers: int, partition: np.ndarray):
         return run_wcc(

@@ -35,8 +35,6 @@ class PingPong(BlockProgram):
             return [(target, 1)]
         return []
 
-    def finalize(self):
-        return {f"b{self.block_id}": self.received}
 
 
 class TestEngine:
@@ -48,10 +46,11 @@ class TestEngine:
     def test_message_delivery_and_halting(self):
         g = line_graph(4)
         part = np.array([0, 0, 1, 1])
-        res = BlogelEngine(g, PingPong, num_workers=2, partition=part).run()
+        engine = BlogelEngine(g, PingPong, num_workers=2, partition=part)
+        engine.run()
         # each block receives one token per round after the first
-        assert res.data["b0"] == PingPong.rounds
-        assert res.data["b1"] == PingPong.rounds
+        assert engine.blocks[0].received == PingPong.rounds
+        assert engine.blocks[1].received == PingPong.rounds
 
     def test_byte_accounting(self):
         g = line_graph(4)

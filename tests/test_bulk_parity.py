@@ -38,7 +38,7 @@ def weighted_graph():
 def _assert_parity(scalar_out, bulk_out):
     (data_s, res_s), (data_b, res_b) = scalar_out, bulk_out
     np.testing.assert_array_equal(data_s, data_b)
-    assert res_s.data == res_b.data
+    assert np.array_equal(res_s.data, res_b.data)
     ms, mb = res_s.metrics, res_b.metrics
     assert ms.channel_breakdown() == mb.channel_breakdown()
     assert ms.supersteps == mb.supersteps

@@ -31,7 +31,7 @@ class TestScatterCombine:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.msg = ScatterCombine(worker, combiner)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
@@ -39,10 +39,10 @@ class TestScatterCombine:
                         self.msg.add_edges(v, v.edges)
                     self.msg.set_message(v, float(v.id + 1))
                 elif self.step_num <= rounds:
-                    self.got[v.id] = float(self.msg.get_message(v))
+                    self.got[v.local] = float(self.msg.get_message(v))
                     self.msg.set_message(v, float(v.id + 1))
                 else:
-                    self.got[v.id] = float(self.msg.get_message(v))
+                    self.got[v.local] = float(self.msg.get_message(v))
                     v.vote_to_halt()
 
             def finalize(self):
@@ -62,17 +62,18 @@ class TestScatterCombine:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.msg = ScatterCombine(worker, SUM_F64)
-                self.seen = {}
+                # one column per receiving superstep (2 and 3)
+                self.seen = np.full((worker.num_local, 2), np.nan)
 
             def compute(self, v):
                 if self.step_num == 1:
                     self.msg.add_edges(v, v.edges)
                     self.msg.set_message(v, 1.0)
                 elif self.step_num == 2:
-                    self.seen.setdefault(v.id, []).append(float(self.msg.get_message(v)))
+                    self.seen[v.local, 0] = self.msg.get_message(v)
                     self.msg.set_message(v, 10.0)
                 else:
-                    self.seen.setdefault(v.id, []).append(float(self.msg.get_message(v)))
+                    self.seen[v.local, 1] = self.msg.get_message(v)
                     v.vote_to_halt()
 
             def finalize(self):
@@ -80,7 +81,7 @@ class TestScatterCombine:
 
         res = run(line_graph(3), P)
         # middle vertex has 2 neighbors: 2.0 then 20.0
-        assert res.data[1] == [2.0, 20.0]
+        assert res.data[1].tolist() == [2.0, 20.0]
 
     def test_nothing_sent_when_no_set_message(self):
         class P(VertexProgram):
@@ -144,7 +145,7 @@ class TestScatterCombine:
                         self.msg = ScatterCombine(worker, SUM_F64)
                     else:
                         self.msg = CombinedMessage(worker, SUM_F64)
-                    self.got = {}
+                    self.got = np.empty(worker.num_local, dtype=object)
 
                 def compute(self, v):
                     if self.step_num == 1:
@@ -155,7 +156,7 @@ class TestScatterCombine:
                             for e in v.edges:
                                 self.msg.send_message(int(e), float(v.id))
                     else:
-                        self.got[v.id] = float(self.msg.get_message(v))
+                        self.got[v.local] = float(self.msg.get_message(v))
                         v.vote_to_halt()
 
                 def finalize(self):
@@ -163,7 +164,7 @@ class TestScatterCombine:
 
             results[mode] = run(g, P, workers=3).data
 
-        assert results["scatter"] == results["basic"]
+        assert np.array_equal(results["scatter"], results["basic"])
 
 
 class TestRequestRespond:
@@ -177,14 +178,14 @@ class TestRequestRespond:
                     respond_fn=lambda v: int(self.val[v.local]),
                     codec=INT64,
                 )
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
                     self.rr.add_request(v, (v.id + 1) % self.num_vertices)
                 else:
                     target = (v.id + 1) % self.num_vertices
-                    self.got[v.id] = int(self.rr.get_respond(target))
+                    self.got[v.local] = int(self.rr.get_respond(target))
                     v.vote_to_halt()
 
             def finalize(self):
@@ -195,7 +196,7 @@ class TestRequestRespond:
     def test_basic_conversation(self):
         g = line_graph(4)
         res = run(g, self._program())
-        assert res.data == {0: 100, 1: 200, 2: 300, 3: 0}
+        assert res.data.tolist() == [100, 200, 300, 0]
 
     def test_two_rounds_per_superstep(self):
         res = run(line_graph(4), self._program())
@@ -206,13 +207,13 @@ class TestRequestRespond:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.rr = RequestRespond(worker, respond_fn=lambda v: 0)
-                self.raised = {}
+                self.raised = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 2 and v.id == 0:
                     with pytest.raises(KeyError):
                         self.rr.get_respond(1)
-                    self.raised[0] = True
+                    self.raised[v.local] = True
                 if self.step_num == 1:
                     pass  # no requests at all
                 else:
@@ -222,7 +223,7 @@ class TestRequestRespond:
                 return self.raised
 
         res = run(line_graph(2), P)
-        assert res.data.get(0)
+        assert res.data[0]
 
     def test_request_dedup_on_wire(self):
         """N requesters of the same destination put ONE id on the wire."""
@@ -285,20 +286,20 @@ class TestRequestRespond:
                     codec=INT64,
                     respond_fn_bulk=lambda idx: self.val[idx],
                 )
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
                     self.rr.add_request(v, 0)
                 else:
-                    self.got[v.id] = int(self.rr.get_respond(0))
+                    self.got[v.local] = int(self.rr.get_respond(0))
                     v.vote_to_halt()
 
             def finalize(self):
                 return self.got
 
         res = run(line_graph(3), P)
-        assert all(val == 0 for val in res.data.values())
+        assert all(val == 0 for val in res.data)
 
         # now with a non-zero attribute at vertex 0's owner
         class P2(P):
@@ -308,7 +309,7 @@ class TestRequestRespond:
                 self.rr.respond_fn_bulk = lambda idx: self.val[idx]
 
         res2 = run(line_graph(3), P2)
-        assert all(val == 50 for val in res2.data.values())
+        assert all(val == 50 for val in res2.data)
 
 
 class TestPropagation:
@@ -317,14 +318,14 @@ class TestPropagation:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.prop = Propagation(worker, MIN_I64)
-                self.out = {}
+                self.out = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
                     self.prop.add_edges(v, v.edges)
                     self.prop.set_value(v, v.id)
                 else:
-                    self.out[v.id] = int(self.prop.get_value(v))
+                    self.out[v.local] = int(self.prop.get_value(v))
                     v.vote_to_halt()
 
             def finalize(self):
@@ -342,7 +343,7 @@ class TestPropagation:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.prop = Propagation(worker, MIN_F64, edge_fn=lambda w, d: w + d)
-                self.out = {}
+                self.out = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
@@ -350,7 +351,7 @@ class TestPropagation:
                     if v.id == self.SRC:
                         self.prop.set_value(v, 0.0)
                 else:
-                    self.out[v.id] = float(self.prop.get_value(v))
+                    self.out[v.local] = float(self.prop.get_value(v))
                     v.vote_to_halt()
 
             def finalize(self):
@@ -382,7 +383,8 @@ class TestPropagation:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.prop = Propagation(worker, MIN_I64)
-                self.out = {}
+                # one label column per phase; -1 = not labelled in it
+                self.out = np.full((worker.num_local, 2), -1)
 
             def before_superstep(self):
                 # re-seed a *smaller* subgraph before superstep 3
@@ -397,9 +399,7 @@ class TestPropagation:
                     self.prop.add_edges(v, v.edges)
                     self.prop.set_value(v, v.id)
                 elif self.step_num == 2:
-                    self.out.setdefault("phase1", {})[v.id] = int(
-                        self.prop.get_value(v)
-                    )
+                    self.out[v.local, 0] = self.prop.get_value(v)
                 elif self.step_num == 3:
                     # phase 2: only vertices >= 3 participate
                     if v.id >= 3:
@@ -407,9 +407,7 @@ class TestPropagation:
                         self.prop.set_value(v, v.id)
                 else:
                     if v.id >= 3:
-                        self.out.setdefault("phase2", {})[v.id] = int(
-                            self.prop.get_value(v)
-                        )
+                        self.out[v.local, 1] = self.prop.get_value(v)
                     v.vote_to_halt()
 
             def finalize(self):
@@ -417,13 +415,8 @@ class TestPropagation:
 
         g = line_graph(6)
         res = run(g, P, workers=2)
-        phase1 = {}
-        phase2 = {}
-        for data in (res.data,):
-            phase1.update(data.get("phase1", {}))
-            phase2.update(data.get("phase2", {}))
-        assert all(lbl == 0 for lbl in phase1.values())
-        assert phase2 == {3: 3, 4: 3, 5: 3}
+        assert res.data[:, 0].tolist() == [0] * 6
+        assert res.data[:, 1].tolist() == [-1, -1, -1, 3, 3, 3]
 
     def test_propagation_blocked_by_missing_edges(self):
         """Edges not added do not forward values (the SCC aliveness
@@ -433,7 +426,7 @@ class TestPropagation:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.prop = Propagation(worker, MIN_I64)
-                self.out = {}
+                self.out = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
@@ -441,7 +434,7 @@ class TestPropagation:
                         self.prop.add_edges(v, v.edges)
                     self.prop.set_value(v, v.id)
                 else:
-                    self.out[v.id] = int(self.prop.get_value(v))
+                    self.out[v.local] = int(self.prop.get_value(v))
                     v.vote_to_halt()
 
             def finalize(self):
@@ -462,14 +455,14 @@ class TestPropagation:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.prop = Propagation(worker, MIN_I64)
-                self.out = {}
+                self.out = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
                     self.prop.add_edges(v, v.edges)
                     self.prop.set_value(v, v.id)
                 else:
-                    self.out[v.id] = int(self.prop.get_value(v))
+                    self.out[v.local] = int(self.prop.get_value(v))
                     v.vote_to_halt()
 
             def finalize(self):
@@ -477,7 +470,7 @@ class TestPropagation:
 
         r1 = run(g, P, workers=1)
         r4 = run(g, P, workers=4)
-        assert r1.data == r4.data
+        assert np.array_equal(r1.data, r4.data)
 
 
 class TestPropagationHopBudget:
@@ -486,14 +479,14 @@ class TestPropagationHopBudget:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.prop = Propagation(worker, MIN_I64, max_local_hops=hops)
-                self.out = {}
+                self.out = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
                     self.prop.add_edges(v, v.edges)
                     self.prop.set_value(v, v.id)
                 else:
-                    self.out[v.id] = int(self.prop.get_value(v))
+                    self.out[v.local] = int(self.prop.get_value(v))
                     v.vote_to_halt()
 
             def finalize(self):
@@ -505,14 +498,14 @@ class TestPropagationHopBudget:
     def test_result_independent_of_budget(self, hops):
         g = rmat(6, edge_factor=2, seed=8, directed=False)
         ref = self._run_wcc(g, None).data
-        assert self._run_wcc(g, hops).data == ref
+        assert np.array_equal(self._run_wcc(g, hops).data, ref)
 
     def test_smaller_budget_needs_more_rounds(self):
         g = line_graph(120)
         shallow = self._run_wcc(g, 1)
         deep = self._run_wcc(g, None)
         assert shallow.metrics.total_rounds > deep.metrics.total_rounds
-        assert shallow.data == deep.data
+        assert np.array_equal(shallow.data, deep.data)
 
     def test_invalid_budget_rejected(self):
         from repro.core import Worker  # noqa: F401

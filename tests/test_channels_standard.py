@@ -30,7 +30,7 @@ class TestDirectMessage:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.msg = DirectMessage(worker, value_codec=INT64)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
@@ -38,7 +38,7 @@ class TestDirectMessage:
                     self.msg.send_message(0, v.id)
                     self.msg.send_message(0, v.id * 10)
                 else:
-                    self.got[v.id] = sorted(self.msg.get_iterator(v).tolist())
+                    self.got[v.local] = sorted(self.msg.get_iterator(v).tolist())
                 v.vote_to_halt()
 
             def finalize(self):
@@ -55,14 +55,14 @@ class TestDirectMessage:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.msg = DirectMessage(worker)
-                self.flags = {}
+                self.flags = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
                     if v.id == 0:
                         self.msg.send_message(1, 7)
                 else:
-                    self.flags[v.id] = self.msg.has_messages(v)
+                    self.flags[v.local] = self.msg.has_messages(v)
                 v.vote_to_halt()
 
             def finalize(self):
@@ -70,7 +70,7 @@ class TestDirectMessage:
 
         res = run(line_graph(3), P)
         assert res.data[1] is True
-        assert 2 not in res.data or res.data[2] is False  # 2 was never woken
+        assert res.data[2] is None or res.data[2] is False  # 2 was never woken
 
     def test_messages_live_one_superstep(self):
         class P(VertexProgram):
@@ -89,19 +89,17 @@ class TestDirectMessage:
                 else:
                     v.vote_to_halt()
 
-            def finalize(self):
-                return {"counts": self.counts} if self.counts else {}
-
-        res = run(line_graph(3), P, workers=1)
+        engine = ChannelEngine(line_graph(3), P, num_workers=1)
+        engine.run()
         # step1: nothing yet; step2: one message; step3: drained
-        assert res.data["counts"] == [0, 1, 0]
+        assert engine.workers[0].program.counts == [0, 1, 0]
 
     def test_bulk_send_matches_scalar(self):
         class P(VertexProgram):
             def __init__(self, worker):
                 super().__init__(worker)
                 self.msg = DirectMessage(worker, value_codec=INT32)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
@@ -110,7 +108,7 @@ class TestDirectMessage:
                             np.array([1, 2, 1]), np.array([5, 6, 7])
                         )
                 else:
-                    self.got[v.id] = sorted(self.msg.get_iterator(v).tolist())
+                    self.got[v.local] = sorted(self.msg.get_iterator(v).tolist())
                 v.vote_to_halt()
 
             def finalize(self):
@@ -127,7 +125,7 @@ class TestDirectMessage:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.msg = DirectMessage(worker, value_codec=pc)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1 and v.id == 0:
@@ -150,13 +148,13 @@ class TestCombinedMessage:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.msg = CombinedMessage(worker, SUM_I64)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
                     self.msg.send_message(0, v.id + 1)
                 else:
-                    self.got[v.id] = (
+                    self.got[v.local] = (
                         int(self.msg.get_message(v)),
                         self.msg.has_message(v),
                     )
@@ -176,11 +174,11 @@ class TestCombinedMessage:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.msg = CombinedMessage(worker, MIN_I64)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 2:
-                    self.got[v.id] = (
+                    self.got[v.local] = (
                         int(self.msg.get_message(v)),
                         self.msg.has_message(v),
                     )
@@ -191,7 +189,7 @@ class TestCombinedMessage:
                 return self.got
 
         res = run(line_graph(3), P)
-        assert all(val == (MIN_I64.identity, False) for val in res.data.values())
+        assert all(val == (MIN_I64.identity, False) for val in res.data)
 
     def test_wire_bytes_match_direct_message(self):
         """CombinedMessage must not change wire sizes (the Table IV
@@ -224,13 +222,13 @@ class TestCombinedMessage:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.msg = CombinedMessage(worker, MIN_I64)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
                     self.msg.send_message(0, 100 - v.id)
                 else:
-                    self.got[v.id] = int(self.msg.get_message(v))
+                    self.got[v.local] = int(self.msg.get_message(v))
                 v.vote_to_halt()
 
             def finalize(self):
@@ -246,13 +244,13 @@ class TestAggregator:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.agg = Aggregator(worker, SUM_F64)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
                     self.agg.add(1.5)
                 else:
-                    self.got[v.id] = float(self.agg.result())
+                    self.got[v.local] = float(self.agg.result())
                     v.vote_to_halt()
 
             def finalize(self):
@@ -260,25 +258,25 @@ class TestAggregator:
 
         g = line_graph(6)
         res = run(g, P, workers=3)
-        assert all(val == pytest.approx(9.0) for val in res.data.values())
+        assert all(val == pytest.approx(9.0) for val in res.data)
 
     def test_result_is_identity_before_any_add(self):
         class P(VertexProgram):
             def __init__(self, worker):
                 super().__init__(worker)
                 self.agg = Aggregator(worker, MAX_F64)
-                self.first = {}
+                self.first = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
-                    self.first[v.id] = self.agg.result()
+                    self.first[v.local] = self.agg.result()
                 v.vote_to_halt()
 
             def finalize(self):
                 return self.first
 
         res = run(line_graph(3), P)
-        assert all(val == MAX_F64.identity for val in res.data.values())
+        assert all(val == MAX_F64.identity for val in res.data)
 
     def test_aggregation_resets_every_superstep(self):
         class P(VertexProgram):
@@ -295,12 +293,11 @@ class TestAggregator:
                 if self.step_num >= 3:
                     v.vote_to_halt()
 
-            def finalize(self):
-                return {"seen": self.seen} if self.seen else {}
-
-        res = run(line_graph(4), P, workers=2)
-        # step1 result: identity; step2: sum of step1 adds; step3: reset to 0
-        assert res.data["seen"] == [0, 8, 0]
+        engine = ChannelEngine(line_graph(4), P, num_workers=2)
+        engine.run()
+        # vertex 0's worker: step1 result: identity; step2: sum of step1
+        # adds; step3: reset to 0
+        assert engine.workers[engine.owner[0]].program.seen == [0, 8, 0]
 
     def test_costs_two_exchange_rounds(self):
         class P(VertexProgram):
@@ -320,13 +317,13 @@ class TestAggregator:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.agg = Aggregator(worker, SUM_I64)
-                self.out = {}
+                self.out = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
                     self.agg.add(3)
                 else:
-                    self.out[v.id] = int(self.agg.result())
+                    self.out[v.local] = int(self.agg.result())
                     v.vote_to_halt()
 
             def finalize(self):
@@ -360,7 +357,7 @@ class TestMessageFuzz:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.msg = DirectMessage(worker, value_codec=INT32)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v):
                 if self.step_num == 1:
@@ -368,7 +365,7 @@ class TestMessageFuzz:
                         for dst, val in sends:
                             self.msg.send_message(dst, val)
                 else:
-                    self.got[v.id] = sorted(self.msg.get_iterator(v).tolist())
+                    self.got[v.local] = sorted(self.msg.get_iterator(v).tolist())
                 v.vote_to_halt()
 
             def finalize(self):
@@ -380,5 +377,5 @@ class TestMessageFuzz:
         expected = {k: sorted(v) for k, v in expected.items()}
 
         res = ChannelEngine(line_graph(10), P, num_workers=workers).run()
-        got = {k: v for k, v in res.data.items() if v}
+        got = {k: v for k, v in enumerate(res.data) if v}
         assert got == expected

@@ -76,6 +76,11 @@ class TestStateCodec:
     def test_rejects_unencodable_value(self):
         with pytest.raises(TypeError, match="cannot checkpoint"):
             encode_state({"fn": lambda: None})
+        # object arrays hold pointers: refused, not encoded as garbage
+        with pytest.raises(TypeError, match="cannot checkpoint .* dtype object"):
+            encode_state({"a": np.array([[1, 2], None, "x"], dtype=object)})
+        with pytest.raises(TypeError, match="cannot checkpoint"):
+            encode_state({"a": np.zeros(2, dtype=[("x", np.int64), ("o", object)])})
 
     def test_byte_counts_are_real(self):
         small = len(encode_state({"x": np.zeros(10)}))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Aggregator,
@@ -11,6 +12,7 @@ from repro.core import (
     SUM_I64,
     VertexProgram,
 )
+from repro.core.engine import scatter_results
 from repro.graph.graph import Graph
 from repro.runtime.serialization import INT64
 from helpers import line_graph
@@ -35,7 +37,7 @@ class CountSteps(VertexProgram):
             v.vote_to_halt()
 
     def finalize(self):
-        return {f"w{self.worker.worker_id}": self.worker.step_num}
+        return np.full(self.worker.num_local, self.worker.step_num)
 
 
 class TestLifecycle:
@@ -52,7 +54,7 @@ class TestLifecycle:
     def test_step_num_visible_in_finalize(self):
         g = line_graph(4)
         res = ChannelEngine(g, CountSteps, num_workers=2).run()
-        assert all(v == 3 for v in res.data.values())
+        assert (res.data == 3).all()
 
     def test_max_supersteps_guard(self):
         class Forever(VertexProgram):
@@ -123,7 +125,7 @@ class MessageWake(VertexProgram):
         v.vote_to_halt()
 
     def finalize(self):
-        return {int(g): int(self.received[i]) for i, g in enumerate(self.worker.local_ids)}
+        return self.received
 
 
 class TestActivation:
@@ -132,7 +134,7 @@ class TestActivation:
         g = line_graph(n)
         res = ChannelEngine(g, MessageWake, num_workers=3).run()
         # the ping visits 1, 2, ..., n-1
-        assert [res.data[i] for i in range(n)] == [0] + [1] * (n - 1)
+        assert res.data.tolist() == [0] + [1] * (n - 1)
         assert res.supersteps == n  # one relay per superstep
 
     def test_partition_respected(self):
@@ -162,14 +164,14 @@ class BeforeSuperstepCounter(VertexProgram):
             v.vote_to_halt()
 
     def finalize(self):
-        return {f"calls{self.worker.worker_id}": self.calls}
+        return np.full(self.worker.num_local, self.calls)
 
 
 def test_before_superstep_called_every_superstep_plus_final_check():
     g = line_graph(4)
     res = ChannelEngine(g, BeforeSuperstepCounter, num_workers=2).run()
     # 2 supersteps ran; the hook also fires before the terminating check
-    assert all(v == 3 for v in res.data.values())
+    assert (res.data == 3).all()
 
 
 class TestMetricsIntegration:
@@ -183,3 +185,70 @@ class TestMetricsIntegration:
         g = line_graph(10)
         res = ChannelEngine(g, CountSteps, num_workers=2).run()
         assert res.metrics.records[0].active_vertices == 10
+
+
+#: result row layouts the scatter helper must place intact
+ROW_LAYOUTS = {
+    "scalar": (np.dtype(np.float64), ()),
+    "2-d": (np.dtype(np.int32), (3,)),
+    "structured": (np.dtype([("a", np.int64), ("b", np.float32)]), ()),
+}
+
+
+def _rows(ids, dtype, shape):
+    """One row per id, derived from the id (a misplaced row shows)."""
+    out = np.empty((len(ids),) + shape, dtype=dtype)
+    if dtype.names:
+        out["a"], out["b"] = ids, ids * 0.5
+    else:
+        out[...] = np.reshape(ids, (-1,) + (1,) * len(shape))
+    return out
+
+
+class TestScatterResults:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        workers=st.sampled_from([1, 2, 8]),
+        layout=st.sampled_from(sorted(ROW_LAYOUTS)),
+        data=st.data(),
+    )
+    def test_every_row_lands_at_its_global_id(self, workers, layout, data):
+        dtype, shape = ROW_LAYOUTS[layout]
+        n = data.draw(st.integers(0, 40))
+        owner = np.array(
+            data.draw(st.lists(st.integers(0, workers - 1), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        parts = []
+        for w in range(workers):  # workers owning nothing contribute empty parts
+            ids = np.flatnonzero(owner == w)
+            ids = np.array(data.draw(st.permutations(ids.tolist())), dtype=np.int64)
+            parts.append((ids, _rows(ids, dtype, shape)))
+        out = scatter_results(n, parts)
+        assert out.dtype == dtype and out.shape == (n,) + shape
+        assert np.array_equal(out, _rows(np.arange(n), dtype, shape))
+
+    def test_all_none_is_none(self):
+        assert scatter_results(2, [(np.array([0]), None), (np.array([1]), None)]) is None
+
+    def test_empty_parts_may_differ_in_dtype(self):
+        parts = [
+            (np.array([0, 1]), np.array([4.0, 5.0])),
+            (np.empty(0, dtype=np.int64), np.empty(0, dtype=object)),
+        ]
+        assert np.array_equal(scatter_results(2, parts), [4.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "parts, match",
+        [
+            ([(np.arange(3), np.zeros(2))], "shape"),
+            ([(np.arange(2), np.int64(7))], "shape"),
+            ([(np.array([0]), np.zeros(1)), (np.array([1]), np.zeros(1, int))], "disagree"),
+            ([(np.array([0]), np.zeros((1, 2))), (np.array([1]), np.zeros((1, 3)))], "disagree"),
+            ([(np.array([0]), np.zeros(1)), (np.array([1]), None)], "None"),
+        ],
+        ids=["length", "0-d", "dtype", "row-shape", "mixed-none"],
+    )
+    def test_rejects_inconsistent_parts(self, parts, match):
+        with pytest.raises(ValueError, match=match):
+            scatter_results(2 if len(parts) > 1 else 3, parts)

@@ -23,6 +23,7 @@ from repro.algorithms.pointer_jumping import run_pointer_jumping
 from repro.algorithms.sssp import run_sssp
 from repro.algorithms.wcc import run_wcc
 from repro.core import Channel, ChannelEngine, ScatterCombine, SUM_F64, VertexProgram
+from repro.core.engine import scatter_results
 from repro.graph import rmat
 from repro.graph.partition import hash_partition, range_partition
 from repro.runtime.parallel import WorkerProcessError
@@ -50,7 +51,7 @@ def _partition(name, n, workers):
 def _assert_identical(sim_out, proc_out):
     (data_s, res_s), (data_p, res_p) = sim_out, proc_out
     np.testing.assert_array_equal(data_s, data_p)
-    assert res_s.data == res_p.data
+    assert np.array_equal(res_s.data, res_p.data)
     ms, mp_ = res_s.metrics, res_p.metrics
     assert ms.channel_breakdown() == mp_.channel_breakdown()
     assert ms.supersteps == mp_.supersteps
@@ -154,13 +155,14 @@ class TestEngineIntegration:
             directed_graph, PR, num_workers=4, executor="process", sync_state=True
         )
         res = engine.run()
-        assert res.data == res_sim.data
+        assert np.array_equal(res.data, res_sim.data)
         # parent-side program state now reflects the run that happened in
         # the worker processes
-        merged = {}
-        for worker in engine.workers:
-            merged.update(worker.program.finalize())
-        assert merged == res.data
+        merged = scatter_results(
+            directed_graph.num_vertices,
+            ((w.local_ids, w.program.finalize()) for w in engine.workers),
+        )
+        assert np.array_equal(merged, res.data)
         assert all(w.halted.all() for w in engine.workers)
 
     def test_unknown_executor_rejected(self, directed_graph):
@@ -185,8 +187,8 @@ class TestEngineIntegration:
         spawned = engine.backend.pool.spawn_count
         second = engine.run()
         assert engine.backend.pool.spawn_count == spawned == 2
-        assert first.data == sim_first.data
-        assert second.data == sim_second.data
+        assert np.array_equal(first.data, sim_first.data)
+        assert np.array_equal(second.data, sim_second.data)
         assert (
             second.metrics.supersteps
             == first.metrics.supersteps
@@ -208,7 +210,7 @@ class TestEngineIntegration:
             checkpoint_every=2,
             executor="process",
         ).run()
-        assert proc.data == sim.data
+        assert np.array_equal(proc.data, sim.data)
         assert proc.metrics.num_checkpoints == sim.metrics.num_checkpoints
         assert proc.metrics.checkpoint_bytes == sim.metrics.checkpoint_bytes
 
@@ -312,7 +314,30 @@ class _CrashInRingWrite(_DieInExchange):
     channel_cls = _RingFloodBombChannel
 
 
+class _ObjectResult(VertexProgram):
+    """Per-vertex Python objects: fine in process, not over the codec."""
+
+    def compute(self, v):
+        v.vote_to_halt()
+
+    def finalize(self):
+        return np.full(self.worker.num_local, "x", dtype=object)
+
+
 class TestCrashHandling:
+    def test_object_result_fails_with_the_codec_error(self, directed_graph):
+        # the worker's reply codec refuses object arrays (they hold
+        # pointers), so the parent sees that TypeError in the worker's
+        # traceback instead of a garbled decode of pointer bytes
+        engine = ChannelEngine(
+            directed_graph, _ObjectResult, num_workers=2, executor="process"
+        )
+        with pytest.raises(
+            WorkerProcessError,
+            match=r"(?s)during finalize.*TypeError: cannot checkpoint .* dtype object",
+        ):
+            engine.run()
+
     def test_worker_process_death_surfaces_cleanly(self, directed_graph):
         engine = ChannelEngine(
             directed_graph,

@@ -17,13 +17,13 @@ class Echo(PregelProgram):
 
     def __init__(self, worker):
         super().__init__(worker)
-        self.got = {}
+        self.got = np.empty(worker.num_local, dtype=object)
 
     def compute(self, v, messages):
         if self.step_num == 1:
             v.send_message(0, v.id)
         else:
-            self.got[v.id] = sorted(int(m) for m in messages)
+            self.got[v.local] = sorted(int(m) for m in messages)
         v.vote_to_halt()
 
     def finalize(self):
@@ -43,7 +43,7 @@ class TestBasicMode:
                 if self.step_num == 1:
                     v.send_message(0, v.id + 10)
                 else:
-                    self.got[v.id] = messages  # scalar, already combined
+                    self.got[v.local] = messages  # scalar, already combined
                 v.vote_to_halt()
 
         res = PregelPlusEngine(line_graph(4), P, num_workers=2).run()
@@ -56,17 +56,17 @@ class TestBasicMode:
 
             def __init__(self, worker):
                 super().__init__(worker)
-                self.seen = {}
+                self.seen = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v, messages):
-                self.seen[v.id] = messages
+                self.seen[v.local] = messages
                 v.vote_to_halt()
 
             def finalize(self):
                 return self.seen
 
         res = PregelPlusEngine(line_graph(3), P, num_workers=2).run()
-        assert all(v is None for v in res.data.values())
+        assert all(v is None for v in res.data)
 
     def test_structured_monolithic_type(self):
         tagged = struct_codec([("tag", INT32), ("val", INT32)])
@@ -76,13 +76,13 @@ class TestBasicMode:
 
             def __init__(self, worker):
                 super().__init__(worker)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v, messages):
                 if self.step_num == 1:
                     v.send_message(0, (7, v.id))
                 else:
-                    self.got[v.id] = sorted(messages)
+                    self.got[v.local] = sorted(messages)
                 v.vote_to_halt()
 
             def finalize(self):
@@ -129,11 +129,9 @@ class TestAggregator:
                 if self.step_num >= 2:
                     v.vote_to_halt()
 
-            def finalize(self):
-                return {"seen": self.seen} if self.seen else {}
-
-        res = PregelPlusEngine(line_graph(5), P, num_workers=2).run()
-        assert res.data["seen"] == [None, 5]
+        engine = PregelPlusEngine(line_graph(5), P, num_workers=2)
+        engine.run()
+        assert engine.workers[engine.owner[0]].program.seen == [None, 5]
 
 
 class TestReqRespMode:
@@ -144,7 +142,7 @@ class TestReqRespMode:
             def __init__(self, worker):
                 super().__init__(worker)
                 self.attr = worker.local_ids * 3
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def respond_value(self, local_idx):
                 return int(self.attr[local_idx])
@@ -153,7 +151,7 @@ class TestReqRespMode:
                 if self.step_num == 1:
                     v.request(0)
                 else:
-                    self.got[v.id] = int(v.get_resp(0))
+                    self.got[v.local] = int(v.get_resp(0))
                 v.vote_to_halt()
 
         part = np.array([0, 1, 1, 1])
@@ -183,16 +181,9 @@ class TestReqRespMode:
                     v.request(2)
                 v.vote_to_halt()
 
-            def finalize(self):
-                return {f"w{self.worker.worker_id}": self.computed}
-
-        res = PregelPlusEngine(
-            line_graph(3),
-            P,
-            num_workers=1,
-            mode="reqresp",
-        ).run()
-        computed = res.data["w0"]
+        engine = PregelPlusEngine(line_graph(3), P, num_workers=1, mode="reqresp")
+        engine.run()
+        computed = engine.workers[0].program.computed
         # step 1: everyone; step 2: only vertex 0 (the requester) —
         # the responder (vertex 2) is answered by the system, not compute()
         assert (2, 0) in computed
@@ -207,13 +198,13 @@ class TestGhostMode:
 
             def __init__(self, worker):
                 super().__init__(worker)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v, messages):
                 if self.step_num == 1:
                     v.broadcast(v.id + 1)
                 else:
-                    self.got[v.id] = messages
+                    self.got[v.local] = messages
                 v.vote_to_halt()
 
             def finalize(self):
@@ -228,7 +219,7 @@ class TestGhostMode:
         ghost = PregelPlusEngine(
             g, P, num_workers=2, partition=part, mode="ghost", ghost_threshold=3
         ).run()
-        assert basic.data == ghost.data
+        assert np.array_equal(basic.data, ghost.data)
         assert ghost.metrics.total_net_bytes < basic.metrics.total_net_bytes
 
     def test_low_degree_vertices_unaffected(self):
@@ -237,13 +228,13 @@ class TestGhostMode:
 
             def __init__(self, worker):
                 super().__init__(worker)
-                self.got = {}
+                self.got = np.empty(worker.num_local, dtype=object)
 
             def compute(self, v, messages):
                 if self.step_num == 1:
                     v.broadcast(5)
                 else:
-                    self.got[v.id] = sorted(messages)
+                    self.got[v.local] = sorted(messages)
                 v.vote_to_halt()
 
             def finalize(self):

@@ -240,7 +240,7 @@ def _assert_same_run(a, b):
     """Bit-identical everything (same config, different backend)."""
     np.testing.assert_array_equal(a[0], b[0])
     ra, rb = a[-1], b[-1]
-    assert ra.data == rb.data
+    assert np.array_equal(ra.data, rb.data)
     ma, mb = ra.metrics, rb.metrics
     assert ma.channel_breakdown() == mb.channel_breakdown()
     assert ma.supersteps == mb.supersteps
@@ -288,7 +288,7 @@ def test_superstep_migration_parity(name, workers):
         np.testing.assert_allclose(sim[0], off[0], rtol=1e-9, atol=1e-12)
     else:
         np.testing.assert_array_equal(sim[0], off[0])
-        assert sim[-1].data == off[-1].data
+        assert np.array_equal(sim[-1].data, off[-1].data)
 
     reb_kw["rebalance_policy"] = _test_policy(workers)
     proc = _run(
@@ -390,7 +390,7 @@ def test_epoch_trigger_fires_within_two_epochs(executor):
     assert fired and fired[0] <= 2
     assert not np.array_equal(reb.owner, skew), "ownership must actually change"
     for a, b in zip(off.history, reb.history):
-        assert a.result.data == b.result.data
+        assert np.array_equal(a.result.data, b.result.data)
 
 
 def test_epoch_trigger_noop_on_balanced_partition():

@@ -96,7 +96,7 @@ def _assert_identical(base, recovered):
         np.testing.assert_array_equal(base_data, rec_data)
     else:
         assert base_data == rec_data
-    assert base_res.data == rec_res.data
+    assert np.array_equal(base_res.data, rec_res.data)
     bm, rm = base_res.metrics, rec_res.metrics
     assert rm.total_messages == bm.total_messages
     assert rm.total_net_bytes == bm.total_net_bytes

@@ -73,7 +73,7 @@ def _assert_same_csr(a: Graph, b: Graph):
 def _assert_identical_runs(a, b):
     np.testing.assert_array_equal(a[0], b[0])
     ra, rb = a[-1], b[-1]
-    assert ra.data == rb.data
+    assert np.array_equal(ra.data, rb.data)
     ma, mb = ra.metrics, rb.metrics
     assert ma.channel_breakdown() == mb.channel_breakdown()
     assert ma.supersteps == mb.supersteps
@@ -262,9 +262,10 @@ class TestIndexDtype:
             tmp_path / "b", scale=9, edge_factor=6, seed=3, index_dtype="uint32"
         )
         _assert_same_csr(Graph.from_store(a.store), Graph.from_store(b.store))
-        assert run_wcc(a, variant="basic", mode="bulk", num_workers=2)[
-            -1
-        ].data == run_wcc(b, variant="basic", mode="bulk", num_workers=2)[-1].data
+        assert np.array_equal(
+            run_wcc(a, variant="basic", mode="bulk", num_workers=2)[-1].data,
+            run_wcc(b, variant="basic", mode="bulk", num_workers=2)[-1].data,
+        )
 
     def test_widened_indices_counted_in_footprint_and_freed(self, tmp_path):
         g = rmat(8, edge_factor=4, seed=2)
@@ -383,7 +384,7 @@ class TestStreamingOverMmap:
             return [eng.bootstrap()] + eng.run(batches)
 
         for s, m in zip(epochs(mem), epochs(mapped)):
-            assert m.data == s.data
+            assert np.array_equal(m.data, s.data)
             assert m.refresh == s.refresh
             assert m.seeds == s.seeds and m.affected == s.affected
             sm, mm = s.result.metrics, m.result.metrics

@@ -240,14 +240,11 @@ class TestParityMatrix:
             ei = inc.run_epoch(batch)
             ef = full.run_epoch(batch)
             # identical to the engine's own cold baseline...
-            assert ei.data == ef.data
+            assert np.array_equal(ei.data, ef.data)
             # ...and to a cold run of the library algorithm on the
             # mutated graph (bit-identical floats, not approx)
             cold, _ = factory().cold_run(inc.graph, workers, inc.owner)
-            ids = sorted(ei.data)
-            assert np.array_equal(
-                np.array([ei.data[v] for v in ids]), cold[np.array(ids)]
-            )
+            assert np.array_equal(ei.data, cold)
 
     def test_pagerank_worker_idle_at_final_step(self):
         # regression: worker 0 owns only clean sender vertices whose last
@@ -267,9 +264,7 @@ class TestParityMatrix:
         epoch = eng.run_epoch(MutationBatch.from_edges(insertions=[(4, 2)]))
         assert epoch.refresh == "incremental"
         cold, _ = PageRankStream(iterations=6).cold_run(eng.graph, 2, partition)
-        assert np.array_equal(
-            np.array([epoch.data[v] for v in range(5)]), cold
-        )
+        assert np.array_equal(epoch.data, cold)
 
     def test_oracle_agreement_after_mutations(self):
         # belt and braces: the streamed results also match independent
@@ -282,9 +277,8 @@ class TestParityMatrix:
             lw = wcc.run_epoch(batch)
             ls = sssp.run_epoch(batch)
         final = wcc.graph
-        labels = np.array([lw.data[v] for v in range(final.num_vertices)])
-        assert np.array_equal(labels, nx_components(final))
-        dist = np.array([ls.data[v] for v in range(final.num_vertices)])
+        assert np.array_equal(lw.data, nx_components(final))
+        dist = ls.data
         oracle = nx_sssp(final, 0)
         assert np.allclose(dist, oracle, rtol=0, atol=1e-9, equal_nan=False)
 
@@ -298,10 +292,7 @@ class TestParityMatrix:
         )
         eng.run_epoch(MutationBatch(delete_vertices=np.array([5])))
         cold, _ = WCCStream().cold_run(eng.graph, 4, eng.owner)
-        data = eng.latest.data
-        assert np.array_equal(
-            np.array([data[v] for v in sorted(data)]), cold[np.array(sorted(data))]
-        )
+        assert np.array_equal(eng.latest.data, cold)
         # PageRank degrades to full on a vertex-count change but stays exact
         pr = EpochEngine(graph, PageRankStream(iterations=5), num_workers=4)
         epoch = pr.run_epoch(
@@ -309,9 +300,7 @@ class TestParityMatrix:
         )
         assert epoch.refresh == "full"
         cold, _ = PageRankStream(iterations=5).cold_run(pr.graph, 4, pr.owner)
-        assert np.array_equal(
-            np.array([epoch.data[v] for v in sorted(epoch.data)]), cold
-        )
+        assert np.array_equal(epoch.data, cold)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +358,7 @@ class TestWCCProbe:
         g = line_graph(6)
         eng = EpochEngine(g, WCCStream(), num_workers=2)
         epoch = eng.run_epoch(MutationBatch.from_edges(deletions=[(2, 3)]))
-        labels = np.array([epoch.data[v] for v in range(6)])
-        assert np.array_equal(labels, np.array([0, 0, 0, 3, 3, 3]))
+        assert np.array_equal(epoch.data, np.array([0, 0, 0, 3, 3, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +381,7 @@ class TestEpochEngine:
         assert base.result.total_net_bytes == 0
         # results survive the idle epoch
         cold, _ = WCCStream().cold_run(eng.graph, 2, eng.owner)
-        assert np.array_equal(
-            np.array([base.data[v] for v in range(50)]), cold
-        )
+        assert np.array_equal(base.data, cold)
 
     def test_epoch_counters_in_summary(self):
         g = erdos_renyi(50, 3.0, seed=14, directed=True)
